@@ -18,15 +18,12 @@ from .errors import (
 )
 from .geometry import (
     SPEED_OF_LIGHT,
-    ZERO_DELAY,
     Baseline,
     Constellation,
-    OpticalDelay,
     Point3,
-    balanced_delay,
     forward_delays,
+    forward_jacobian,
     load_constellation,
-    round_trip_times,
 )
 from .photonics import (
     BalanceEstimate,
@@ -48,7 +45,6 @@ from .gdop import (
     SEP_COEFFICIENT,
     ErrorEstimate,
     SensitivityMatrix,
-    forward_jacobian,
     point_error,
     propagate_errors,
     sensitivity,
@@ -80,14 +76,11 @@ __all__ = [
     "NoDipFoundError",
     "FitDivergedError",
     "SPEED_OF_LIGHT",
-    "ZERO_DELAY",
     "Point3",
     "Baseline",
     "Constellation",
-    "OpticalDelay",
-    "round_trip_times",
-    "balanced_delay",
     "forward_delays",
+    "forward_jacobian",
     "load_constellation",
     "HomConfig",
     "DipScan",
@@ -104,7 +97,6 @@ __all__ = [
     "SEP_COEFFICIENT",
     "SensitivityMatrix",
     "ErrorEstimate",
-    "forward_jacobian",
     "sensitivity",
     "propagate_errors",
     "sep_radius",

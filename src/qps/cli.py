@@ -59,6 +59,8 @@ def _triple(text: str) -> DelayTriple:
 
 def _range_spec(text: str) -> tuple[float, float, int]:
     lo, hi, count = _parse_floats(text, 3, "range")
+    if not count.is_integer():
+        raise argparse.ArgumentTypeError(f"range: COUNT must be an integer, got {text!r}")
     return lo, hi, int(count)
 
 
@@ -122,14 +124,6 @@ def _emit(text: str, output: Path | None) -> None:
 def _emit_grid(grid: FieldGrid, output: Path | None, fmt: str) -> None:
     text = grid.to_csv() if fmt == "csv" else _dump_json(grid.to_json_dict())
     _emit(text, output)
-
-
-def _workers() -> int:
-    value = os.environ.get("QPS_THREADS", "")
-    try:
-        return max(1, int(value)) if value else 1
-    except ValueError:
-        return 1
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -197,29 +191,27 @@ def _cmd_field(args: argparse.Namespace) -> int:
     if len(args.sweep) != 2:
         raise QpsError("field needs exactly two --sweep specs")
     name, value = args.fixed
-    grid = scan_plane(
-        constellation, args.sweep[0], args.sweep[1], name, value, args.sigma_s, _workers()
-    )
+    grid = scan_plane(constellation, args.sweep[0], args.sweep[1], name, value, args.sigma_s)
     _emit_grid(grid, args.output, args.format)
     return 0
 
 
 def _cmd_line(args: argparse.Namespace) -> int:
     constellation = _resolve_constellation(args)
-    grid = scan_line(constellation, args.start, args.end, args.count, args.sigma_s, _workers())
+    grid = scan_line(constellation, args.start, args.end, args.count, args.sigma_s)
     _emit_grid(grid, args.output, args.format)
     return 0
 
 
 def _cmd_sweep_a(args: argparse.Namespace) -> int:
     lo, hi, count = args.a_range
-    grid = scan_baseline_length(lo, hi, count, args.user, args.sigma_s, _workers())
+    grid = scan_baseline_length(lo, hi, count, args.user, args.sigma_s)
     _emit_grid(grid, args.output, args.format)
     return 0
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    grid = figure_dataset(args.name, _workers())
+    grid = figure_dataset(args.name)
     _emit_grid(grid, args.output, args.format)
     return 0
 

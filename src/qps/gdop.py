@@ -24,14 +24,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
-from .geometry import Constellation, Point3
+from .geometry import (
+    CONDITION_LIMIT,
+    Constellation,
+    Point3,
+    condition_number,
+    forward_jacobian,
+    json_float,
+)
 
 #: Spherical-error-probable radius per unit standard deviation for a
 #: spherically symmetric Gaussian position distribution.
 SEP_COEFFICIENT = 1.538
-
-#: Condition-number threshold marking the geometry as degenerate.
-CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -68,37 +72,14 @@ class ErrorEstimate:
     condition_number: float
 
     def to_json_dict(self) -> dict:
-        def clean(v: float) -> float | None:
-            return float(v) if math.isfinite(v) else None
-
         return {
-            "sigma_x_m": clean(self.sigma_x_m),
-            "sigma_y_m": clean(self.sigma_y_m),
-            "sigma_z_m": clean(self.sigma_z_m),
-            "r_xyz_m": clean(self.r_xyz_m),
+            "sigma_x_m": json_float(self.sigma_x_m),
+            "sigma_y_m": json_float(self.sigma_y_m),
+            "sigma_z_m": json_float(self.sigma_z_m),
+            "r_xyz_m": json_float(self.r_xyz_m),
             "degenerate": self.degenerate,
-            "condition_number": clean(self.condition_number),
+            "condition_number": json_float(self.condition_number),
         }
-
-
-def forward_jacobian(constellation: Constellation, user: Point3) -> np.ndarray:
-    """Exact gradient of the forward delay model, one row per baseline.
-
-    Row i is ``unit(user - A_i) - unit(user - B_i)``: the rate of change
-    of baseline i's balancing delay per unit user displacement.
-
-    Raises:
-        InvalidInputError: The user coincides with a baseline endpoint,
-            where the gradient is undefined.
-    """
-    xyz = user.as_array()
-    d_a = xyz - constellation.endpoints_a
-    d_b = xyz - constellation.endpoints_b
-    n_a = np.linalg.norm(d_a, axis=1)
-    n_b = np.linalg.norm(d_b, axis=1)
-    if np.any(n_a == 0.0) or np.any(n_b == 0.0):
-        raise InvalidInputError("user coincides with a baseline endpoint")
-    return d_a / n_a[:, None] - d_b / n_b[:, None]
 
 
 def sensitivity(constellation: Constellation, user: Point3) -> SensitivityMatrix:
@@ -107,10 +88,10 @@ def sensitivity(constellation: Constellation, user: Point3) -> SensitivityMatrix
     Raises:
         DegenerateGeometryError: The Jacobian condition number exceeds
             ``CONDITION_LIMIT``; position error there is unbounded.
+        InvalidInputError: The user coincides with a baseline endpoint.
     """
     jac = forward_jacobian(constellation, user)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    cond = math.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
+    cond = condition_number(jac)
     if cond > CONDITION_LIMIT:
         raise DegenerateGeometryError(
             f"delay Jacobian condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}",
@@ -163,17 +144,23 @@ def point_error(
     """Full error-propagation chain at one user position.
 
     Degenerate geometry is reported as a flagged estimate rather than an
-    exception, so field scans can record it per point.
+    exception, so field scans can record it per point. A user on a
+    baseline endpoint, where the Jacobian is undefined, is degenerate with
+    an infinite condition number.
     """
     try:
         sens = sensitivity(constellation, user)
     except DegenerateGeometryError as exc:
-        return ErrorEstimate(
-            sigma_x_m=math.nan,
-            sigma_y_m=math.nan,
-            sigma_z_m=math.nan,
-            r_xyz_m=math.nan,
-            degenerate=True,
-            condition_number=exc.condition_number,
-        )
-    return propagate_errors(sens, sigma_s)
+        cond = exc.condition_number
+    except InvalidInputError:
+        cond = math.inf
+    else:
+        return propagate_errors(sens, sigma_s)
+    return ErrorEstimate(
+        sigma_x_m=math.nan,
+        sigma_y_m=math.nan,
+        sigma_z_m=math.nan,
+        r_xyz_m=math.nan,
+        degenerate=True,
+        condition_number=cond,
+    )

@@ -30,6 +30,10 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: Relative tolerance used by the midpoint-source predicate.
 MIDPOINT_RTOL = 1e-9
 
+#: Condition number of the delay Jacobian above which the delay-to-position
+#: map counts as not invertible (degenerate geometry, singular solve step).
+CONDITION_LIMIT = 1e12
+
 
 @dataclass(frozen=True)
 class Point3:
@@ -215,93 +219,6 @@ def load_constellation(path: str | Path) -> Constellation:
     return Constellation.from_json_dict(data)
 
 
-@dataclass(frozen=True)
-class OpticalDelay:
-    """A calibrated transparent delay element in one interferometer arm.
-
-    Attributes:
-        thickness_d: Geometric thickness along the optical path, meters.
-        index_n: Effective refractive index, >= 1.
-    """
-
-    thickness_d: float
-    index_n: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.thickness_d) and self.thickness_d >= 0.0):
-            raise InvalidInputError(f"delay thickness must be finite and >= 0, got {self.thickness_d!r}")
-        if not (math.isfinite(self.index_n) and self.index_n >= 1.0):
-            raise InvalidInputError(f"refractive index must be finite and >= 1, got {self.index_n!r}")
-
-    @property
-    def delay_length(self) -> float:
-        """Excess optical path length ``(n - 1) * d``, meters."""
-        return (self.index_n - 1.0) * self.thickness_d
-
-    @property
-    def delay_time(self) -> float:
-        """Excess propagation time ``(n - 1) * d / c``, seconds."""
-        return self.delay_length / SPEED_OF_LIGHT
-
-
-#: A delay element of zero optical effect.
-ZERO_DELAY = OpticalDelay(0.0, 1.0)
-
-
-def round_trip_times(
-    baseline: Baseline, user: Point3, delay: OpticalDelay = ZERO_DELAY
-) -> tuple[float, float]:
-    """Effective round-trip times of the two photon paths of one baseline.
-
-    Both photons travel station -> endpoint -> user corner reflector and
-    back along the same legs; the second path additionally traverses the
-    optical delay twice.
-
-    Args:
-        baseline: The arm pair being interrogated.
-        user: Corner-reflector position.
-        delay: Delay element in the endpoint_b arm.
-
-    Returns:
-        ``(t_a, t_b)`` in seconds: the endpoint_a-side and endpoint_b-side
-        round-trip times.
-    """
-    d_a = math.dist((user.x, user.y, user.z), (baseline.endpoint_a.x, baseline.endpoint_a.y, baseline.endpoint_a.z))
-    d_b = math.dist((user.x, user.y, user.z), (baseline.endpoint_b.x, baseline.endpoint_b.y, baseline.endpoint_b.z))
-    t_a = 2.0 / SPEED_OF_LIGHT * (d_a + baseline.source_leg_a)
-    t_b = 2.0 / SPEED_OF_LIGHT * (d_b + baseline.source_leg_b + delay.delay_length)
-    return t_a, t_b
-
-
-def balanced_delay(baseline: Baseline, user: Point3) -> float:
-    """Optical delay length (meters) that balances one interferometer.
-
-    This is the path-length excess of the endpoint_a leg over the
-    endpoint_b leg:
-
-        s = (|user - A| + |A - source|) - (|user - B| + |source - B|)
-
-    Positive s means the endpoint_a leg is longer, i.e. the delay element
-    on the endpoint_b side must add s of optical path. For a midpoint
-    source the station legs cancel and s reduces to the plain range
-    difference |user - A| - |user - B|.
-
-    The range difference is evaluated as ``-2 (u - m) . (A - B) / (|u-A| +
-    |u-B|)`` with m the endpoint midpoint, which is algebraically identical
-    but avoids the catastrophic cancellation of subtracting two nearly
-    equal distances; far-field positioning accuracy depends on this.
-    """
-    u = user.as_array()
-    a = baseline.endpoint_a.as_array()
-    b = baseline.endpoint_b.as_array()
-    n_a = float(np.linalg.norm(u - a))
-    n_b = float(np.linalg.norm(u - b))
-    if n_a + n_b == 0.0:
-        raise InvalidInputError("user coincides with both baseline endpoints")
-    diff = -2.0 * float(np.dot(u - 0.5 * (a + b), a - b)) / (n_a + n_b)
-    return diff + baseline.source_path_offset
-
-
 def forward_delays(constellation: Constellation, user: Point3) -> np.ndarray:
     """Balancing delay lengths of all three baselines, shape ``(3,)``.
 
@@ -314,7 +231,17 @@ def delays_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
     """Array-level forward model: balancing delays at position ``xyz``.
 
     Hot-path variant of :func:`forward_delays` operating on a raw
-    coordinate array.
+    coordinate array. Baseline i's delay is the path-length excess of its
+    endpoint_a leg over its endpoint_b leg:
+
+        s = (|xyz - A| + |A - source|) - (|xyz - B| + |source - B|)
+
+    Positive s means the endpoint_a leg is longer, i.e. the delay element
+    on the endpoint_b side must add s of optical path. The range
+    difference is evaluated as ``-2 (xyz - m) . (A - B) / (|xyz-A| +
+    |xyz-B|)`` with m the endpoint midpoint, which is algebraically
+    identical but avoids the catastrophic cancellation of subtracting two
+    nearly equal distances; far-field positioning accuracy depends on this.
     """
     if not np.all(np.isfinite(xyz)):
         raise InvalidInputError(f"position must be finite, got {xyz!r}")
@@ -325,3 +252,46 @@ def delays_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
         raise InvalidInputError("position coincides with both endpoints of a baseline")
     num = -2.0 * np.einsum("ij,ij->i", xyz - constellation.midpoints, constellation.axes)
     return num / denom + constellation.source_path_offsets
+
+
+def forward_jacobian(constellation: Constellation, user: Point3) -> np.ndarray:
+    """Exact gradient of the forward delay model, one row per baseline.
+
+    Point-typed wrapper of :func:`jacobian_at`.
+    """
+    return jacobian_at(constellation, user.as_array())
+
+
+def jacobian_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
+    """Array-level gradient of :func:`delays_at` at position ``xyz``.
+
+    Row i is ``unit(xyz - A_i) - unit(xyz - B_i)``: the rate of change of
+    baseline i's balancing delay per unit displacement.
+
+    Raises:
+        InvalidInputError: The position coincides with a baseline
+            endpoint, where the gradient is undefined.
+    """
+    d_a = xyz - constellation.endpoints_a
+    d_b = xyz - constellation.endpoints_b
+    n_a = np.linalg.norm(d_a, axis=1)
+    n_b = np.linalg.norm(d_b, axis=1)
+    if np.any(n_a == 0.0) or np.any(n_b == 0.0):
+        raise InvalidInputError("position coincides with a baseline endpoint")
+    return d_a / n_a[:, None] - d_b / n_b[:, None]
+
+
+def condition_number(jacobian: np.ndarray) -> float:
+    """2-norm condition number of a delay Jacobian; infinite when singular.
+
+    The geometry is degenerate where this exceeds ``CONDITION_LIMIT``.
+    """
+    svals = np.linalg.svd(jacobian, compute_uv=False)
+    if svals[-1] == 0.0:
+        return math.inf
+    return float(svals[0] / svals[-1])
+
+
+def json_float(v: float) -> float | None:
+    """A float for JSON output: non-finite values become ``None`` (null)."""
+    return float(v) if math.isfinite(v) else None

@@ -13,14 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .gdop import point_error
-from .geometry import Baseline, Constellation, Point3
+from .geometry import Baseline, Constellation, Point3, json_float
 
 #: Mean Earth radius used by the satellite presets, meters.
 EARTH_RADIUS_M = 6_378_000.0
@@ -162,9 +162,6 @@ class FieldGrid:
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
-        def clean(v: float) -> float | None:
-            return float(v) if math.isfinite(v) else None
-
         return {
             "axes": [
                 {"name": ax.name, "start": ax.start, "stop": ax.stop, "count": ax.count}
@@ -172,43 +169,25 @@ class FieldGrid:
             ],
             "fixed": dict(self.fixed),
             "coords": {k: [float(v) for v in arr] for k, arr in self.coords.items()},
-            "r_xyz_m": [clean(v) for v in self.r_xyz_m],
+            "r_xyz_m": [json_float(v) for v in self.r_xyz_m],
             "degenerate": [bool(v) for v in self.degenerate],
-            "condition_number": [clean(v) for v in self.condition_number],
+            "condition_number": [json_float(v) for v in self.condition_number],
         }
 
 
 def _evaluate_points(
-    constellation: Constellation,
-    points: np.ndarray,
-    sigma_s: float,
-    workers: int,
+    cases: Iterable[tuple[Constellation, Point3]], n: int, sigma_s: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the error chain at each row of ``points`` (N, 3).
-
-    Results land at fixed indices, so the output is identical for any
-    worker count or scheduling order.
-    """
-    n = len(points)
+    """Evaluate the error chain for each of ``n`` (constellation, user)
+    cases, returning the r_xyz, degenerate and condition-number columns."""
     r_xyz = np.empty(n)
     degenerate = np.zeros(n, dtype=bool)
     cond = np.empty(n)
-
-    def run(i0: int, i1: int) -> None:
-        for i in range(i0, i1):
-            est = point_error(constellation, Point3.from_array(points[i]), sigma_s)
-            r_xyz[i] = est.r_xyz_m
-            degenerate[i] = est.degenerate
-            cond[i] = est.condition_number
-
-    workers = max(1, int(workers))
-    if workers == 1 or n < 2 * workers:
-        run(0, n)
-    else:
-        chunk = -(-n // workers)
-        bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda se: run(*se), bounds))
+    for i, (constellation, user) in enumerate(cases):
+        est = point_error(constellation, user, sigma_s)
+        r_xyz[i] = est.r_xyz_m
+        degenerate[i] = est.degenerate
+        cond[i] = est.condition_number
     return r_xyz, degenerate, cond
 
 
@@ -219,7 +198,6 @@ def scan_plane(
     fixed_axis: str,
     fixed_value: float,
     sigma_s: float,
-    workers: int = 1,
 ) -> FieldGrid:
     """Position-error field over a coordinate plane.
 
@@ -239,7 +217,9 @@ def scan_plane(
     points[:, _AXIS_NAMES.index(sweep2.name)] = grid2.ravel()
     points[:, _AXIS_NAMES.index(fixed_axis)] = fixed_value
 
-    r_xyz, degenerate, cond = _evaluate_points(constellation, points, sigma_s, workers)
+    r_xyz, degenerate, cond = _evaluate_points(
+        ((constellation, Point3.from_array(p)) for p in points), len(points), sigma_s
+    )
     return FieldGrid(
         axes=(sweep1, sweep2),
         fixed={fixed_axis: float(fixed_value)},
@@ -259,7 +239,6 @@ def scan_line(
     end: Point3,
     count: int,
     sigma_s: float,
-    workers: int = 1,
 ) -> FieldGrid:
     """Position-error profile along the segment from ``start`` to ``end``.
 
@@ -274,7 +253,9 @@ def scan_line(
     t = np.linspace(0.0, 1.0, count)
     points = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
 
-    r_xyz, degenerate, cond = _evaluate_points(constellation, points, sigma_s, workers)
+    r_xyz, degenerate, cond = _evaluate_points(
+        ((constellation, Point3.from_array(p)) for p in points), len(points), sigma_s
+    )
     return FieldGrid(
         axes=(axis,),
         fixed={},
@@ -296,7 +277,6 @@ def scan_baseline_length(
     count: int,
     user: Point3,
     sigma_s: float,
-    workers: int = 1,
 ) -> FieldGrid:
     """Position error at a fixed user versus the ground-layout half length.
 
@@ -306,28 +286,11 @@ def scan_baseline_length(
         raise InvalidInputError(f"a_start must be > 0, got {a_start!r}")
     axis = AxisSpec("a_m", a_start, a_stop, count)
     a_values = axis.values()
-
-    n = len(a_values)
-    r_xyz = np.empty(n)
-    degenerate = np.zeros(n, dtype=bool)
-    cond = np.empty(n)
-
-    def run(i0: int, i1: int) -> None:
-        for i in range(i0, i1):
-            constellation = build_terrestrial(TerrestrialConfig(float(a_values[i])))
-            est = point_error(constellation, user, sigma_s)
-            r_xyz[i] = est.r_xyz_m
-            degenerate[i] = est.degenerate
-            cond[i] = est.condition_number
-
-    workers = max(1, int(workers))
-    if workers == 1 or n < 2 * workers:
-        run(0, n)
-    else:
-        chunk = -(-n // workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda se: run(*se), [(i, min(i + chunk, n)) for i in range(0, n, chunk)]))
-
+    r_xyz, degenerate, cond = _evaluate_points(
+        ((build_terrestrial(TerrestrialConfig(float(a))), user) for a in a_values),
+        len(a_values),
+        sigma_s,
+    )
     return FieldGrid(
         axes=(axis,),
         fixed={"x": user.x, "y": user.y, "z": user.z},
@@ -342,7 +305,7 @@ def scan_baseline_length(
 FIGURE_NAMES = ("fig4", "fig5", "fig6", "fig8", "fig9", "fig10")
 
 
-def figure_dataset(name: str, workers: int = 1) -> FieldGrid:
+def figure_dataset(name: str) -> FieldGrid:
     """Recompute one of the bundled accuracy-map datasets.
 
     The presets bake in the reference parameters (ground half length 2 m;
@@ -369,16 +332,13 @@ def figure_dataset(name: str, workers: int = 1) -> FieldGrid:
             "z",
             z_ground,
             sigma,
-            workers,
         )
     if name == "fig5":
         return scan_line(
-            ground, Point3(-100.0, 30.0, z_ground), Point3(100.0, 30.0, z_ground), 500, sigma, workers
+            ground, Point3(-100.0, 30.0, z_ground), Point3(100.0, 30.0, z_ground), 500, sigma
         )
     if name == "fig6":
-        return scan_baseline_length(
-            0.5, 5.0, 601, Point3(30.0, 30.0, z_ground), sigma, workers
-        )
+        return scan_baseline_length(0.5, 5.0, 601, Point3(30.0, 30.0, z_ground), sigma)
 
     leo = build_leo(LeoConfig(DEFAULT_LEO_SEMI_MAJOR_M, DEFAULT_LEO_BASELINE_M))
     if name == "fig8":
@@ -390,16 +350,13 @@ def figure_dataset(name: str, workers: int = 1) -> FieldGrid:
             "z",
             z_leo,
             sigma,
-            workers,
         )
     if name == "fig9":
         return scan_line(
-            leo, Point3(-8e6, z_leo, z_leo), Point3(8e6, z_leo, z_leo), 500, sigma, workers
+            leo, Point3(-8e6, z_leo, z_leo), Point3(8e6, z_leo, z_leo), 500, sigma
         )
     if name == "fig10":
         lo = EARTH_RADIUS_M / math.sqrt(3.0)
         hi = 12_000_000.0 / math.sqrt(3.0)
-        return scan_line(
-            leo, Point3(lo, lo, lo), Point3(hi, hi, hi), 500, sigma, workers
-        )
+        return scan_line(leo, Point3(lo, lo, lo), Point3(hi, hi, hi), 500, sigma)
     raise InvalidInputError(f"unknown figure dataset {name!r}; choose from {FIGURE_NAMES}")

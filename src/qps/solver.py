@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     DegenerateDelayError,
@@ -22,7 +21,15 @@ from .errors import (
     NotConvergedError,
     SingularJacobianError,
 )
-from .geometry import Constellation, Point3, delays_at
+from .geometry import (
+    CONDITION_LIMIT,
+    Constellation,
+    Point3,
+    condition_number,
+    delays_at,
+    jacobian_at,
+    json_float,
+)
 
 #: Residual convergence scale: converged when ||f|| < RESIDUAL_TOL * (1 + |x|).
 RESIDUAL_TOL = 1e-12
@@ -30,8 +37,6 @@ RESIDUAL_TOL = 1e-12
 STEP_TOL_M = 1e-14
 #: Iteration budget.
 MAX_ITERATIONS = 200
-#: Condition-number threshold beyond which the Jacobian counts as singular.
-CONDITION_LIMIT = 1e12
 #: Converged solutions closer than this are considered the same point.
 CLUSTER_RADIUS_M = 1e-6
 
@@ -78,7 +83,7 @@ class SolveResult:
             "residual_norm_m": self.residual_norm,
             "iterations": self.iterations,
             "converged": self.converged,
-            "condition_number": _json_float(self.condition_number),
+            "condition_number": json_float(self.condition_number),
         }
 
 
@@ -99,38 +104,12 @@ class Region:
         return Point3.from_array(0.5 * (self.lower.as_array() + self.upper.as_array()))
 
 
-def _json_float(v: float) -> float | None:
-    return float(v) if math.isfinite(v) else None
-
-
 def residuals(constellation: Constellation, candidate: Point3, delays: DelayTriple) -> np.ndarray:
     """Range-difference residuals ``f_i = s_i(candidate) - s_i_measured``.
 
     Zero exactly when the candidate lies on all three hyperboloid sheets.
     """
     return delays_at(constellation, candidate.as_array()) - delays.as_array()
-
-
-def _jacobian(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
-    """Gradient rows of the forward delay model at ``xyz``.
-
-    Row i is ``unit(x - A_i) - unit(x - B_i)``; raises when the point sits
-    on an endpoint, where the gradient is undefined.
-    """
-    d_a = xyz - constellation.endpoints_a
-    d_b = xyz - constellation.endpoints_b
-    n_a = np.linalg.norm(d_a, axis=1)
-    n_b = np.linalg.norm(d_b, axis=1)
-    if np.any(n_a == 0.0) or np.any(n_b == 0.0):
-        raise SingularJacobianError("iterate coincides with a baseline endpoint")
-    return d_a / n_a[:, None] - d_b / n_b[:, None]
-
-
-def _condition_number(jacobian: np.ndarray) -> float:
-    svals = np.linalg.svd(jacobian, compute_uv=False)
-    if svals[-1] == 0.0:
-        return math.inf
-    return float(svals[0] / svals[-1])
 
 
 def _validate_delays(constellation: Constellation, delays: DelayTriple) -> np.ndarray:
@@ -173,7 +152,8 @@ def solve_position(
     Raises:
         DegenerateDelayError: A delay is incompatible with its baseline.
         SingularJacobianError: The Jacobian at an iterate is degenerate
-            (condition number above 1e12).
+            (condition number above ``CONDITION_LIMIT``, or the iterate
+            sits on a baseline endpoint).
         NotConvergedError: Iteration budget exhausted or damping stalled.
     """
     s = _validate_delays(constellation, delays)
@@ -187,8 +167,13 @@ def solve_position(
             x, r = _polish(constellation, x, r, s)
             return _result(constellation, x, r, iterations)
 
-        jac = _jacobian(constellation, x)
-        cond = _condition_number(jac)
+        try:
+            jac = jacobian_at(constellation, x)
+        except InvalidInputError as exc:
+            raise SingularJacobianError(
+                f"iterate coincides with a baseline endpoint at {x.tolist()}"
+            ) from exc
+        cond = condition_number(jac)
         if cond > CONDITION_LIMIT:
             raise SingularJacobianError(
                 f"Jacobian condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e} at iterate {x.tolist()}"
@@ -241,9 +226,9 @@ def _polish(
     """Extra full Newton steps while they strictly reduce the residual."""
     for _ in range(3):
         try:
-            jac = _jacobian(constellation, x)
+            jac = jacobian_at(constellation, x)
             step = np.linalg.solve(jac, -r)
-        except (SingularJacobianError, np.linalg.LinAlgError):
+        except (InvalidInputError, np.linalg.LinAlgError):
             break
         x_new = x + step
         r_new = delays_at(constellation, x_new) - s
@@ -258,8 +243,8 @@ def _result(
     constellation: Constellation, x: np.ndarray, r: np.ndarray, iterations: int
 ) -> SolveResult:
     try:
-        cond = _condition_number(_jacobian(constellation, x))
-    except SingularJacobianError:
+        cond = condition_number(jacobian_at(constellation, x))
+    except InvalidInputError:
         cond = math.inf
     return SolveResult(
         position=Point3.from_array(x),
@@ -289,6 +274,9 @@ def multi_start_solve(
     if n_starts < 1:
         raise InvalidInputError(f"n_starts must be >= 1, got {n_starts}")
     _validate_delays(constellation, delays)
+
+    # Imported here: scipy.stats dominates the package's import time.
+    from scipy.stats import qmc
 
     sampler = qmc.Sobol(d=3, scramble=True, seed=seed)
     points = qmc.scale(

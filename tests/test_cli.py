@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qps
 from qps import Point3, TerrestrialConfig, build_terrestrial, point_error
 from qps.cli import main
 
@@ -42,14 +47,16 @@ class TestGdopCommand:
         assert data["sigma_x_m"] == est.sigma_x_m
 
     def test_degenerate_point_reported(self, capsys):
-        code, out, err = run(
-            capsys,
-            ["gdop", "--preset", "terrestrial", "--sigma-s", "1e-6", "--user", "0,0,100"],
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data["degenerate"] is True
-        assert data["r_xyz_m"] is None
+        # A symmetry-axis point and a baseline endpoint.
+        for user in ("0,0,100", "2,0,0"):
+            code, out, err = run(
+                capsys,
+                ["gdop", "--preset", "terrestrial", "--sigma-s", "1e-6", "--user", user],
+            )
+            assert code == 0, err
+            data = json.loads(out)
+            assert data["degenerate"] is True
+            assert data["r_xyz_m"] is None
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "estimate.json"
@@ -287,24 +294,34 @@ class TestGridCommands:
         with pytest.raises(SystemExit):
             main(["reproduce", "fig7"])
 
-    def test_threads_env_does_not_change_output(self, capsys, monkeypatch, tmp_path):
+    def test_line_through_endpoints_flags_degenerate(self, capsys):
+        # Samples at x = -4, -2, 0, 2, 4; x = +-2 are the x baseline's
+        # endpoints, where the Jacobian is undefined.
         argv = [
             "line",
             "--preset",
-            "leo",
-            "--start",
-            "3682000,3682000,3682000",
+            "terrestrial",
+            "--start=-4,0,0",
             "--end",
-            "6000000,6000000,6000000",
+            "4,0,0",
             "--count",
-            "40",
+            "5",
             "--sigma-s",
             "1e-6",
         ]
-        _, serial, _ = run(capsys, argv)
-        monkeypatch.setenv("QPS_THREADS", "4")
-        _, threaded, _ = run(capsys, argv)
-        assert serial == threaded
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        rows = out.strip().split("\n")[1:]
+        for i in (1, 3):
+            _, x, _, _, r_xyz, degenerate, cond = rows[i].split(",")
+            assert abs(float(x)) == 2.0
+            assert (r_xyz, degenerate, cond) == ("nan", "1", "inf")
+        code, out, err = run(capsys, argv + ["--format", "json"])
+        assert code == 0, err
+        data = json.loads(out)
+        for i in (1, 3):
+            assert data["degenerate"][i] is True
+            assert data["condition_number"][i] is None
 
 
 class TestUsageErrors:
@@ -314,8 +331,15 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
     def test_bad_point_format(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["gdop", "--preset", "terrestrial", "--sigma-s", "1e-6", "--user", "1,2"])
+        for argv in (
+            ["gdop", "--preset", "terrestrial", "--sigma-s", "1e-6", "--user", "1,2"],
+            # A COUNT field must be an integer, not truncated to one.
+            ["sweep-a", "--a-range=0.5,5,10.7", "--user", "30,30,57.735", "--sigma-s", "1e-6"],
+            ["dip-scan", "--grid=-0.0009,0.0009,41.9", "--seed", "1"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
 
     def test_preset_and_file_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
@@ -332,3 +356,14 @@ class TestUsageErrors:
                     "1,1,1",
                 ]
             )
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy_stats(self):
+        # scipy.stats dominates import time; only the multi-start search uses it.
+        src = str(Path(qps.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, qps, qps.cli; sys.exit('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        assert proc.returncode == 0

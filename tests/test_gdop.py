@@ -201,10 +201,14 @@ class TestSepRadius:
 
 class TestPointError:
     def test_degenerate_flag(self, ground):
-        est = point_error(ground, Point3(0.0, 0.0, 100.0), 1e-6)
-        assert est.degenerate
-        assert est.condition_number > 1e12
-        assert math.isnan(est.r_xyz_m)
+        # On the symmetry axis the Jacobian is singular; on a baseline
+        # endpoint it is undefined.
+        for user in (Point3(0.0, 0.0, 100.0), Point3(2.0, 0.0, 0.0)):
+            est = point_error(ground, user, 1e-6)
+            assert est.degenerate
+            assert est.condition_number > 1e12
+            assert math.isnan(est.r_xyz_m)
+        assert point_error(ground, Point3(2.0, 0.0, 0.0), 1e-6).condition_number == math.inf
 
     def test_json_dict_none_for_non_finite(self, ground):
         est = point_error(ground, Point3(0.0, 0.0, 100.0), 1e-6)

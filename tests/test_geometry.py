@@ -6,17 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qps import (
-    SPEED_OF_LIGHT,
-    ZERO_DELAY,
     Baseline,
     Constellation,
     InvalidInputError,
-    OpticalDelay,
     Point3,
-    balanced_delay,
     forward_delays,
     load_constellation,
-    round_trip_times,
 )
 
 from .support import (
@@ -28,6 +23,13 @@ from .support import (
 )
 
 X_BASELINE = Baseline.with_midpoint_source(Point3(1.0, 0.0, 0.0), Point3(-1.0, 0.0, 0.0))
+Y_BASELINE = Baseline.with_midpoint_source(Point3(0.0, 1.0, 0.0), Point3(0.0, -1.0, 0.0))
+Z_BASELINE = Baseline.with_midpoint_source(Point3(0.0, 0.0, 1.0), Point3(0.0, 0.0, -1.0))
+
+
+def first_delay(baseline: Baseline, user: Point3) -> float:
+    """Balancing delay of ``baseline`` as the first of a constellation."""
+    return float(forward_delays(Constellation((baseline, Y_BASELINE, Z_BASELINE)), user)[0])
 
 
 class TestPoint3:
@@ -66,81 +68,30 @@ class TestBaseline:
         assert X_BASELINE.source_path_offset == 0.0
 
 
-class TestOpticalDelay:
-    def test_delay_length_and_time(self):
-        delay = OpticalDelay(thickness_d=0.02, index_n=1.5)
-        assert math.isclose(delay.delay_length, 0.01, rel_tol=1e-12)
-        assert math.isclose(delay.delay_time, 0.01 / SPEED_OF_LIGHT, rel_tol=1e-12)
-
-    def test_zero_delay(self):
-        assert ZERO_DELAY.delay_length == 0.0
-
-    @pytest.mark.parametrize("d,n", [(-1.0, 1.5), (0.02, 0.9), (math.nan, 1.5)])
-    def test_invalid_parameters(self, d, n):
-        with pytest.raises(InvalidInputError):
-            OpticalDelay(d, n)
-
-
-class TestRoundTripTimes:
-    def test_mirror_symmetric_user(self):
-        t_a, t_b = round_trip_times(X_BASELINE, Point3(0.0, 1.0, 0.0))
-        expected = 2.0 / SPEED_OF_LIGHT * (math.sqrt(2.0) + 1.0)
-        assert math.isclose(t_a, expected, rel_tol=1e-12)
-        assert math.isclose(t_b, expected, rel_tol=1e-12)
-
-    def test_delay_element_shifts_one_arm(self):
-        delay = OpticalDelay(thickness_d=0.02, index_n=1.5)
-        t_a, t_b = round_trip_times(X_BASELINE, Point3(0.0, 1.0, 0.0), delay)
-        assert math.isclose(t_b - t_a, 2.0 * 0.01 / SPEED_OF_LIGHT, rel_tol=1e-9)
-
-    def test_against_distance_oracle(self, ground, ground_user):
-        baseline = ground.baselines[0]
-        u = (ground_user.x, ground_user.y, ground_user.z)
-        expected_a = 2.0 / SPEED_OF_LIGHT * (math.dist(u, (2.0, 0.0, 0.0)) + 2.0)
-        expected_b = 2.0 / SPEED_OF_LIGHT * (math.dist(u, (-2.0, 0.0, 0.0)) + 2.0)
-        t_a, t_b = round_trip_times(baseline, ground_user)
-        assert math.isclose(t_a, expected_a, rel_tol=1e-12)
-        assert math.isclose(t_b, expected_b, rel_tol=1e-12)
-
-    def test_strictly_positive(self, ground, ground_user):
-        for baseline in ground.baselines:
-            t_a, t_b = round_trip_times(baseline, ground_user)
-            assert t_a > 0.0 and t_b > 0.0
-
-
 class TestBalancedDelay:
     def test_zero_on_bisector_plane(self):
-        assert balanced_delay(X_BASELINE, Point3(0.0, 5.0, 7.0)) == 0.0
+        assert first_delay(X_BASELINE, Point3(0.0, 5.0, 7.0)) == 0.0
 
     def test_user_at_endpoint_a(self):
-        s = balanced_delay(X_BASELINE, Point3(1.0, 0.0, 0.0))
+        s = first_delay(X_BASELINE, Point3(1.0, 0.0, 0.0))
         assert math.isclose(s, -X_BASELINE.length, rel_tol=1e-12)
 
     def test_against_distance_oracle(self, ground, ground_user):
-        baseline = ground.baselines[0]
-        assert math.isclose(
-            balanced_delay(baseline, ground_user),
-            naive_delay(baseline, ground_user),
-            abs_tol=1e-12,
+        np.testing.assert_allclose(
+            forward_delays(ground, ground_user), naive_delays(ground, ground_user), atol=1e-12
         )
 
     def test_general_source_placement(self):
         skewed = Baseline(Point3(1, 0, 0), Point3(-1, 0, 0), Point3(0.3, 0.2, -0.1))
         user = Point3(4.0, -2.0, 1.0)
         assert math.isclose(
-            balanced_delay(skewed, user), naive_delay(skewed, user), abs_tol=1e-12
+            first_delay(skewed, user), naive_delay(skewed, user), abs_tol=1e-12
         )
 
     def test_sign_convention_positive_when_a_leg_longer(self):
         # User close to endpoint_b: the endpoint_a leg is the longer one.
-        s = balanced_delay(X_BASELINE, Point3(-0.9, 0.1, 0.0))
+        s = first_delay(X_BASELINE, Point3(-0.9, 0.1, 0.0))
         assert s > 0.0
-
-    def test_consistency_with_round_trip_times(self, ground, ground_user):
-        for baseline in ground.baselines:
-            t_a, t_b = round_trip_times(baseline, ground_user)
-            lhs = SPEED_OF_LIGHT * (t_b - t_a) / 2.0
-            assert math.isclose(lhs, -balanced_delay(baseline, ground_user), abs_tol=1e-11)
 
 
 class TestForwardDelays:
@@ -159,13 +110,13 @@ class TestProperties:
     @given(ux=coords, uy=coords, uz=coords)
     @settings(max_examples=200, deadline=None)
     def test_triangle_bound(self, ux, uy, uz):
-        s = balanced_delay(X_BASELINE, Point3(ux, uy, uz))
+        s = first_delay(X_BASELINE, Point3(ux, uy, uz))
         assert abs(s) <= X_BASELINE.length + 1e-9
 
     def test_equality_on_exterior_axis(self):
         # Outside the segment along its own axis the bound is attained.
         assert math.isclose(
-            balanced_delay(X_BASELINE, Point3(-3.0, 0.0, 0.0)),
+            first_delay(X_BASELINE, Point3(-3.0, 0.0, 0.0)),
             X_BASELINE.length,
             rel_tol=1e-12,
         )
@@ -184,7 +135,8 @@ class TestProperties:
         rng = np.random.default_rng(7)
         for _ in range(50):
             user = Point3.from_array(rng.uniform(-40.0, 40.0, 3))
-            for baseline in ground.baselines:
+            delays = forward_delays(ground, user)
+            for i, baseline in enumerate(ground.baselines):
                 a = baseline.endpoint_a.as_array()
                 b = baseline.endpoint_b.as_array()
                 normal = (a - b) / np.linalg.norm(a - b)
@@ -192,8 +144,8 @@ class TestProperties:
                 u = user.as_array()
                 mirrored = Point3.from_array(u - 2.0 * np.dot(u - mid, normal) * normal)
                 assert math.isclose(
-                    balanced_delay(baseline, mirrored),
-                    -balanced_delay(baseline, user),
+                    forward_delays(ground, mirrored)[i],
+                    -delays[i],
                     abs_tol=1e-10,
                 )
 

@@ -151,19 +151,6 @@ class TestScanPlane:
         np.testing.assert_array_equal(grid.coords["x_m"], [0, 0, 0, 1, 1, 1])
         np.testing.assert_array_equal(grid.coords["y_m"], [10, 10.5, 11, 10, 10.5, 11])
 
-    def test_worker_count_does_not_change_output(self, ground):
-        kwargs = dict(
-            sweep1=AxisSpec("x", -40.0, 40.0, 9),
-            sweep2=AxisSpec("y", -40.0, 40.0, 9),
-            fixed_axis="z",
-            fixed_value=Z_GROUND,
-            sigma_s=1e-6,
-        )
-        serial = scan_plane(ground, workers=1, **kwargs)
-        threaded = scan_plane(ground, workers=4, **kwargs)
-        np.testing.assert_array_equal(serial.r_xyz_m, threaded.r_xyz_m)
-        np.testing.assert_array_equal(serial.condition_number, threaded.condition_number)
-
     def test_axis_name_validation(self, ground):
         with pytest.raises(InvalidInputError):
             scan_plane(
