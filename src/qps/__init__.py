@@ -8,7 +8,6 @@ position, and propagates delay error into position error.
 
 from .errors import (
     DegenerateDelayError,
-    DegenerateGeometryError,
     FitDivergedError,
     InvalidInputError,
     NoDipFoundError,
@@ -38,17 +37,12 @@ from .solver import (
     Region,
     SolveResult,
     multi_start_solve,
-    residuals,
     solve_position,
 )
 from .gdop import (
     SEP_COEFFICIENT,
     ErrorEstimate,
-    SensitivityMatrix,
     point_error,
-    propagate_errors,
-    sensitivity,
-    sep_radius,
 )
 from .scenarios import (
     EARTH_RADIUS_M,
@@ -72,7 +66,6 @@ __all__ = [
     "DegenerateDelayError",
     "SingularJacobianError",
     "NotConvergedError",
-    "DegenerateGeometryError",
     "NoDipFoundError",
     "FitDivergedError",
     "SPEED_OF_LIGHT",
@@ -91,15 +84,10 @@ __all__ = [
     "DelayTriple",
     "SolveResult",
     "Region",
-    "residuals",
     "solve_position",
     "multi_start_solve",
     "SEP_COEFFICIENT",
-    "SensitivityMatrix",
     "ErrorEstimate",
-    "sensitivity",
-    "propagate_errors",
-    "sep_radius",
     "point_error",
     "EARTH_RADIUS_M",
     "TerrestrialConfig",

@@ -64,6 +64,13 @@ def _range_spec(text: str) -> tuple[float, float, int]:
     return lo, hi, int(count)
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _sweep_spec(text: str) -> AxisSpec:
     parts = text.split(",")
     if len(parts) != 4:
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-start box xmin,xmax,ymin,ymax,zmin,zmax",
     )
     p.add_argument("--starts", type=int, default=64, help="number of multi-start points")
-    p.add_argument("--seed", type=int, default=0, help="multi-start sampling seed")
+    p.add_argument("--seed", type=_seed, default=0, help="multi-start sampling seed")
     p.add_argument("--output", type=Path, default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--true-offset", type=float, default=0.0, help="true balance offset, m")
     p.add_argument("--grid", type=_range_spec, required=True, help="offset grid min,max,count (m)")
     p.add_argument("--integration-time", type=float, default=1.0, help="seconds per grid point")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--no-noise", action="store_true", help="record exact expected rates")
     p.add_argument("--fix-bandwidth", action="store_true", help="hold delta-omega at its configured value")
     p.add_argument("--output", type=Path, default=None, help="base path; writes .csv and .json")

@@ -30,15 +30,6 @@ class NotConvergedError(QpsError):
     before meeting the convergence criteria."""
 
 
-class DegenerateGeometryError(QpsError):
-    """The user position is in a region where the delay-to-position map
-    is not invertible; position error there is effectively unbounded."""
-
-    def __init__(self, message: str, condition_number: float):
-        super().__init__(message)
-        self.condition_number = condition_number
-
-
 class NoDipFoundError(QpsError):
     """A coincidence scan does not contain a statistically significant
     dip, so the balance point cannot be estimated."""

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidInputError
+from .errors import InvalidInputError
 from .geometry import (
     CONDITION_LIMIT,
     Constellation,
@@ -36,24 +36,6 @@ from .geometry import (
 #: Spherical-error-probable radius per unit standard deviation for a
 #: spherically symmetric Gaussian position distribution.
 SEP_COEFFICIENT = 1.538
-
-
-@dataclass(frozen=True)
-class SensitivityMatrix:
-    """Derivatives of position with respect to the three delays.
-
-    ``m[i, j]`` is d(position component i) / d(delay j), dimensionless;
-    it is the inverse of the forward delay Jacobian at the user position.
-    """
-
-    m: np.ndarray
-    condition_number: float
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise InvalidInputError(f"sensitivity matrix must be 3x3, got shape {m.shape}")
-        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)
@@ -82,33 +64,27 @@ class ErrorEstimate:
         }
 
 
-def sensitivity(constellation: Constellation, user: Point3) -> SensitivityMatrix:
-    """Invert the forward Jacobian at the user position.
+def point_error(
+    constellation: Constellation, user: Point3, sigma_s: float | Sequence[float]
+) -> ErrorEstimate:
+    """Propagated position error at one user position.
+
+    ``sigma_s`` is a single delay standard deviation applied to all three
+    delays (the default modeling assumption) or a per-baseline triple.
+    Component variances add in quadrature: with ``m`` the inverse of the
+    forward Jacobian, sigma_x^2 = sum_j (m[0, j] * sigma_s_j)^2, and
+    likewise for y and z.
+
+    Degenerate geometry (condition number above ``CONDITION_LIMIT``) is
+    reported as a flagged estimate rather than an exception, so field
+    scans can record it per point. A user on a baseline endpoint, where
+    the Jacobian is undefined, is degenerate with an infinite condition
+    number.
 
     Raises:
-        DegenerateGeometryError: The Jacobian condition number exceeds
-            ``CONDITION_LIMIT``; position error there is unbounded.
-        InvalidInputError: The user coincides with a baseline endpoint.
-    """
-    jac = forward_jacobian(constellation, user)
-    cond = condition_number(jac)
-    if cond > CONDITION_LIMIT:
-        raise DegenerateGeometryError(
-            f"delay Jacobian condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}",
-            condition_number=cond,
-        )
-    return SensitivityMatrix(m=np.linalg.inv(jac), condition_number=cond)
-
-
-def propagate_errors(
-    sens: SensitivityMatrix, sigma_s: float | Sequence[float]
-) -> ErrorEstimate:
-    """Propagate delay standard deviations through the sensitivity matrix.
-
-    ``sigma_s`` is a single value applied to all three delays (the default
-    modeling assumption) or a per-baseline triple. Component variances add
-    in quadrature: sigma_x^2 = sum_j (m[0, j] * sigma_s_j)^2, and likewise
-    for y and z.
+        InvalidInputError: ``sigma_s`` is not a scalar or length-3 value,
+            or is negative or non-finite; checked before the geometry, so
+            validity does not depend on the user position.
     """
     sig = np.asarray(sigma_s, dtype=float)
     if sig.ndim == 0:
@@ -118,7 +94,23 @@ def propagate_errors(
     if not np.all(np.isfinite(sig)) or np.any(sig < 0.0):
         raise InvalidInputError("sigma_s must be finite and >= 0")
 
-    sigma_xyz = np.linalg.norm(sens.m * sig[None, :], axis=1)
+    try:
+        jac = forward_jacobian(constellation, user)
+    except InvalidInputError:
+        cond = math.inf
+    else:
+        cond = condition_number(jac)
+    if cond > CONDITION_LIMIT:
+        return ErrorEstimate(
+            sigma_x_m=math.nan,
+            sigma_y_m=math.nan,
+            sigma_z_m=math.nan,
+            r_xyz_m=math.nan,
+            degenerate=True,
+            condition_number=cond,
+        )
+
+    sigma_xyz = np.linalg.norm(np.linalg.inv(jac) * sig[None, :], axis=1)
     r_xyz = SEP_COEFFICIENT / math.sqrt(3.0) * float(np.linalg.norm(sigma_xyz))
     return ErrorEstimate(
         sigma_x_m=float(sigma_xyz[0]),
@@ -126,41 +118,5 @@ def propagate_errors(
         sigma_z_m=float(sigma_xyz[2]),
         r_xyz_m=r_xyz,
         degenerate=False,
-        condition_number=sens.condition_number,
-    )
-
-
-def sep_radius(sigma: float) -> float:
-    """Radius containing half the position estimates for a spherically
-    symmetric Gaussian error of standard deviation ``sigma``."""
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma!r}")
-    return SEP_COEFFICIENT * sigma
-
-
-def point_error(
-    constellation: Constellation, user: Point3, sigma_s: float | Sequence[float]
-) -> ErrorEstimate:
-    """Full error-propagation chain at one user position.
-
-    Degenerate geometry is reported as a flagged estimate rather than an
-    exception, so field scans can record it per point. A user on a
-    baseline endpoint, where the Jacobian is undefined, is degenerate with
-    an infinite condition number.
-    """
-    try:
-        sens = sensitivity(constellation, user)
-    except DegenerateGeometryError as exc:
-        cond = exc.condition_number
-    except InvalidInputError:
-        cond = math.inf
-    else:
-        return propagate_errors(sens, sigma_s)
-    return ErrorEstimate(
-        sigma_x_m=math.nan,
-        sigma_y_m=math.nan,
-        sigma_z_m=math.nan,
-        r_xyz_m=math.nan,
-        degenerate=True,
         condition_number=cond,
     )

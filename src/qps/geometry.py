@@ -27,9 +27,6 @@ from .errors import InvalidInputError
 #: Vacuum speed of light in m/s (exact by definition).
 SPEED_OF_LIGHT = 299_792_458.0
 
-#: Relative tolerance used by the midpoint-source predicate.
-MIDPOINT_RTOL = 1e-9
-
 #: Condition number of the delay Jacobian above which the delay-to-position
 #: map counts as not invertible (degenerate geometry, singular solve step).
 CONDITION_LIMIT = 1e12
@@ -56,7 +53,10 @@ class Point3:
 
     @classmethod
     def from_array(cls, arr: Iterable[float]) -> "Point3":
-        vals = [float(v) for v in arr]
+        try:
+            vals = [float(v) for v in arr]
+        except ValueError:
+            raise InvalidInputError(f"components must be numbers, got {arr!r}") from None
         if len(vals) != 3:
             raise InvalidInputError(f"expected 3 components, got {len(vals)}")
         return cls(*vals)
@@ -104,31 +104,16 @@ class Baseline:
         return math.hypot(a.x - b.x, a.y - b.y, a.z - b.z)
 
     @cached_property
-    def source_leg_a(self) -> float:
-        """Distance from endpoint_a to the source."""
-        a, s = self.endpoint_a, self.source
-        return math.hypot(a.x - s.x, a.y - s.y, a.z - s.z)
-
-    @cached_property
-    def source_leg_b(self) -> float:
-        """Distance from the source to endpoint_b."""
-        b, s = self.endpoint_b, self.source
-        return math.hypot(b.x - s.x, b.y - s.y, b.z - s.z)
-
-    @cached_property
     def source_path_offset(self) -> float:
         """Constant leg asymmetry ``|A - source| - |source - B|``.
 
         Zero for a midpoint source; folded into the balanced delay for a
         general source placement.
         """
-        return self.source_leg_a - self.source_leg_b
-
-    @property
-    def is_midpoint_source(self) -> bool:
-        """True when the source is equidistant from both endpoints
-        (within ``MIDPOINT_RTOL`` relative tolerance)."""
-        return math.isclose(self.source_leg_a, self.source_leg_b, rel_tol=MIDPOINT_RTOL)
+        a, b, s = self.endpoint_a, self.endpoint_b, self.source
+        leg_a = math.hypot(a.x - s.x, a.y - s.y, a.z - s.z)
+        leg_b = math.hypot(b.x - s.x, b.y - s.y, b.z - s.z)
+        return leg_a - leg_b
 
 
 @dataclass(frozen=True)

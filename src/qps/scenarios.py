@@ -31,6 +31,10 @@ DEFAULT_LEO_SEMI_MAJOR_M = 7_360_000.0
 DEFAULT_LEO_BASELINE_M = 20_000.0
 DEFAULT_SIGMA_S_M = 1e-6
 
+#: Largest number of points one scan may evaluate, checked before any
+#: array is built (25x the 201 x 201 figure maps).
+MAX_SCAN_POINTS = 1_000_000
+
 _AXIS_NAMES = ("x", "y", "z")
 
 
@@ -175,6 +179,14 @@ class FieldGrid:
         }
 
 
+def _check_scan_size(*axes: AxisSpec) -> None:
+    n_points = math.prod(ax.count for ax in axes)
+    if n_points > MAX_SCAN_POINTS:
+        raise InvalidInputError(
+            f"scan of {n_points} points exceeds the limit of {MAX_SCAN_POINTS}"
+        )
+
+
 def _evaluate_points(
     cases: Iterable[tuple[Constellation, Point3]], n: int, sigma_s: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,6 +222,7 @@ def scan_plane(
             f"plane axes must be a permutation of {_AXIS_NAMES}, got "
             f"({sweep1.name!r}, {sweep2.name!r}, fixed {fixed_axis!r})"
         )
+    _check_scan_size(sweep1, sweep2)
     v1, v2 = sweep1.values(), sweep2.values()
     grid1, grid2 = np.meshgrid(v1, v2, indexing="ij")
     points = np.empty((grid1.size, 3))
@@ -250,6 +263,7 @@ def scan_line(
     if length == 0.0:
         raise InvalidInputError("line start and end must differ")
     axis = AxisSpec("arc_m", 0.0, length, count)
+    _check_scan_size(axis)
     t = np.linspace(0.0, 1.0, count)
     points = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
 
@@ -285,6 +299,7 @@ def scan_baseline_length(
     if not (math.isfinite(a_start) and a_start > 0.0):
         raise InvalidInputError(f"a_start must be > 0, got {a_start!r}")
     axis = AxisSpec("a_m", a_start, a_stop, count)
+    _check_scan_size(axis)
     a_values = axis.values()
     r_xyz, degenerate, cond = _evaluate_points(
         ((build_terrestrial(TerrestrialConfig(float(a))), user) for a in a_values),

@@ -58,7 +58,10 @@ class DelayTriple:
 
     @classmethod
     def from_array(cls, arr) -> "DelayTriple":
-        vals = [float(v) for v in arr]
+        try:
+            vals = [float(v) for v in arr]
+        except ValueError:
+            raise InvalidInputError(f"delays must be numbers, got {arr!r}") from None
         if len(vals) != 3:
             raise InvalidInputError(f"expected 3 delays, got {len(vals)}")
         return cls(*vals)
@@ -102,14 +105,6 @@ class Region:
     @property
     def center(self) -> Point3:
         return Point3.from_array(0.5 * (self.lower.as_array() + self.upper.as_array()))
-
-
-def residuals(constellation: Constellation, candidate: Point3, delays: DelayTriple) -> np.ndarray:
-    """Range-difference residuals ``f_i = s_i(candidate) - s_i_measured``.
-
-    Zero exactly when the candidate lies on all three hyperboloid sheets.
-    """
-    return delays_at(constellation, candidate.as_array()) - delays.as_array()
 
 
 def _validate_delays(constellation: Constellation, delays: DelayTriple) -> np.ndarray:

@@ -58,6 +58,18 @@ class TestGdopCommand:
             assert data["degenerate"] is True
             assert data["r_xyz_m"] is None
 
+    def test_non_numeric_constellation_file(self, capsys, tmp_path, ground):
+        data = ground.to_json_dict()
+        data["baselines"][0]["a"] = ["two", 0, 0]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(
+            capsys,
+            ["gdop", "--constellation", str(path), "--sigma-s", "1e-6", "--user", "1,2,3"],
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "InvalidInputError"
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "estimate.json"
         code, out, _ = run(
@@ -294,6 +306,36 @@ class TestGridCommands:
         with pytest.raises(SystemExit):
             main(["reproduce", "fig7"])
 
+    def test_negative_sigma_rejected_on_symmetry_axis(self, capsys):
+        # Every sample lies on the z symmetry axis, where the geometry is
+        # degenerate; sigma_s is still checked first.
+        code, out, err = run(
+            capsys,
+            [
+                "line",
+                "--preset",
+                "terrestrial",
+                "--start=0,0,10",
+                "--end",
+                "0,0,50",
+                "--count",
+                "3",
+                "--sigma-s",
+                "-1",
+            ],
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidInputError"
+
+    def test_scan_over_point_budget(self, capsys):
+        argv = ["field", "--preset", "terrestrial", "--sweep", "x,-1,1,1001",
+                "--sweep", "y,-1,1,1000", "--fixed", "z,50", "--sigma-s", "1e-6"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidInputError"
+
     def test_line_through_endpoints_flags_degenerate(self, capsys):
         # Samples at x = -4, -2, 0, 2, 4; x = +-2 are the x baseline's
         # endpoints, where the Jacobian is undefined.
@@ -336,6 +378,10 @@ class TestUsageErrors:
             # A COUNT field must be an integer, not truncated to one.
             ["sweep-a", "--a-range=0.5,5,10.7", "--user", "30,30,57.735", "--sigma-s", "1e-6"],
             ["dip-scan", "--grid=-0.0009,0.0009,41.9", "--seed", "1"],
+            # A seed must be a non-negative integer.
+            ["dip-scan", "--grid=-0.0009,0.0009,41", "--seed", "-1"],
+            ["solve", "--preset", "terrestrial", "--s=-2.3,-2.3,-2.3",
+             "--region=-80,80,-80,80,-80,80", "--starts", "8", "--seed", "-1"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)

@@ -5,17 +5,12 @@ import pytest
 
 from qps import (
     SEP_COEFFICIENT,
-    DegenerateGeometryError,
     DelayTriple,
     InvalidInputError,
     Point3,
-    SensitivityMatrix,
     forward_delays,
     forward_jacobian,
     point_error,
-    propagate_errors,
-    sensitivity,
-    sep_radius,
     solve_position,
 )
 
@@ -66,44 +61,36 @@ class TestForwardJacobian:
 
 
 class TestSensitivity:
-    def test_inverse_relation(self, ground, ground_user):
-        sens = sensitivity(ground, ground_user)
-        product = sens.m @ forward_jacobian(ground, ground_user)
-        np.testing.assert_allclose(product, np.eye(3), atol=1e-9)
-
     def test_columns_match_resolve_finite_differences(self, ground, ground_user):
         # Independent oracle for the whole chain: perturb one delay,
-        # re-solve the nonlinear system, difference the positions.
-        sens = sensitivity(ground, ground_user)
+        # re-solve the nonlinear system, difference the positions. The
+        # columns are d(position)/d(delay j), so each position sigma is
+        # sigma times the norm of its row across the three columns.
+        sigma = 1e-6
         s0 = forward_delays(ground, ground_user)
         delta = 1e-7
+        columns = []
         for j in range(3):
             bump = np.zeros(3)
             bump[j] = delta
             plus = solve_position(ground, DelayTriple.from_array(s0 + bump), ground_user)
             minus = solve_position(ground, DelayTriple.from_array(s0 - bump), ground_user)
-            column = (plus.position.as_array() - minus.position.as_array()) / (2.0 * delta)
-            np.testing.assert_allclose(column, sens.m[:, j], rtol=1e-4)
-
-    def test_degenerate_on_symmetry_axis(self, ground):
-        with pytest.raises(DegenerateGeometryError) as excinfo:
-            sensitivity(ground, Point3(0.0, 0.0, 100.0))
-        assert excinfo.value.condition_number > 1e12
-
-    def test_shape_validation(self):
-        with pytest.raises(InvalidInputError):
-            SensitivityMatrix(np.eye(2), 1.0)
+            columns.append((plus.position.as_array() - minus.position.as_array()) / (2.0 * delta))
+        expected = sigma * np.linalg.norm(np.column_stack(columns), axis=1)
+        est = point_error(ground, ground_user, sigma)
+        np.testing.assert_allclose(
+            [est.sigma_x_m, est.sigma_y_m, est.sigma_z_m], expected, rtol=1e-4
+        )
 
 
 class TestPropagateErrors:
     def test_zero_sigma_gives_zero(self, ground, ground_user):
-        est = propagate_errors(sensitivity(ground, ground_user), 0.0)
+        est = point_error(ground, ground_user, 0.0)
         assert est.sigma_x_m == est.sigma_y_m == est.sigma_z_m == est.r_xyz_m == 0.0
 
     def test_exact_linearity(self, ground, ground_user):
-        sens = sensitivity(ground, ground_user)
-        one = propagate_errors(sens, 1e-6)
-        two = propagate_errors(sens, 2e-6)
+        one = point_error(ground, ground_user, 1e-6)
+        two = point_error(ground, ground_user, 2e-6)
         assert two.sigma_x_m == 2.0 * one.sigma_x_m
         assert two.sigma_y_m == 2.0 * one.sigma_y_m
         assert two.sigma_z_m == 2.0 * one.sigma_z_m
@@ -115,11 +102,11 @@ class TestPropagateErrors:
 
     def test_componentwise_formula(self, ground, ground_user):
         # r_xyz and the sigmas must equal the explicit sum-of-squares form.
-        sens = sensitivity(ground, ground_user)
+        m = np.linalg.inv(forward_jacobian(ground, ground_user))
         sigma = 1e-6
-        est = propagate_errors(sens, sigma)
+        est = point_error(ground, ground_user, sigma)
         for i, value in enumerate((est.sigma_x_m, est.sigma_y_m, est.sigma_z_m)):
-            expected = math.sqrt(sum((sens.m[i, j] * sigma) ** 2 for j in range(3)))
+            expected = math.sqrt(sum((m[i, j] * sigma) ** 2 for j in range(3)))
             assert math.isclose(value, expected, rel_tol=1e-15)
         expected_r = (
             SEP_COEFFICIENT
@@ -129,19 +116,23 @@ class TestPropagateErrors:
         assert math.isclose(est.r_xyz_m, expected_r, rel_tol=1e-15)
 
     def test_per_baseline_sigma_triple(self, ground, ground_user):
-        sens = sensitivity(ground, ground_user)
-        uniform = propagate_errors(sens, 1e-6)
-        triple = propagate_errors(sens, (1e-6, 1e-6, 1e-6))
+        m = np.linalg.inv(forward_jacobian(ground, ground_user))
+        uniform = point_error(ground, ground_user, 1e-6)
+        triple = point_error(ground, ground_user, (1e-6, 1e-6, 1e-6))
         assert triple == uniform
-        mixed = propagate_errors(sens, (1e-6, 2e-6, 3e-6))
+        mixed = point_error(ground, ground_user, (1e-6, 2e-6, 3e-6))
         expected_x = math.sqrt(
-            (sens.m[0, 0] * 1e-6) ** 2 + (sens.m[0, 1] * 2e-6) ** 2 + (sens.m[0, 2] * 3e-6) ** 2
+            (m[0, 0] * 1e-6) ** 2 + (m[0, 1] * 2e-6) ** 2 + (m[0, 2] * 3e-6) ** 2
         )
         assert math.isclose(mixed.sigma_x_m, expected_x, rel_tol=1e-14)
 
     def test_negative_sigma_rejected(self, ground, ground_user):
-        with pytest.raises(InvalidInputError):
-            propagate_errors(sensitivity(ground, ground_user), -1.0)
+        # sigma_s is checked before the geometry, so a symmetry-axis or
+        # endpoint user does not turn a bad sigma_s into a degenerate point.
+        for user in (ground_user, Point3(0.0, 0.0, 50.0), Point3(2.0, 0.0, 0.0)):
+            for sigma in (-1.0, (1e-6, 1e-6)):
+                with pytest.raises(InvalidInputError):
+                    point_error(ground, user, sigma)
 
     def test_monte_carlo_oracle(self, ground, ground_user, leo, leo_user):
         # Perturb the delays with Gaussian noise, re-solve, and compare
@@ -177,26 +168,6 @@ class TestPropagateErrors:
             for x in (10.0, 5.0, 2.0, 1.0, 0.5, 0.1, 0.01)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-
-class TestSepRadius:
-    def test_zero(self):
-        assert sep_radius(0.0) == 0.0
-
-    def test_unit(self):
-        assert sep_radius(1.0) == 1.538
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidInputError):
-            sep_radius(-0.5)
-
-    def test_spherical_case_matches_weighted_metric(self):
-        # With an identity sensitivity the distribution is spherical and
-        # the weighted metric reduces to the plain radius.
-        sens = SensitivityMatrix(np.eye(3), 1.0)
-        sigma = 2.5e-6
-        est = propagate_errors(sens, sigma)
-        assert math.isclose(est.r_xyz_m, sep_radius(sigma), rel_tol=1e-12)
 
 
 class TestPointError:

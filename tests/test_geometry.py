@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -60,9 +61,9 @@ class TestBaseline:
         assert X_BASELINE.length == 2.0
 
     def test_midpoint_source_predicate(self):
-        assert X_BASELINE.is_midpoint_source
+        assert X_BASELINE.source_path_offset == 0.0
         skewed = Baseline(Point3(1, 0, 0), Point3(-1, 0, 0), Point3(0.5, 0, 0))
-        assert not skewed.is_midpoint_source
+        assert skewed.source_path_offset == -1.0
 
     def test_source_path_offset_zero_at_midpoint(self):
         assert X_BASELINE.source_path_offset == 0.0
@@ -176,6 +177,14 @@ class TestConstellationJson:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(InvalidInputError):
+            load_constellation(path)
+
+    def test_non_numeric_coordinate_rejected(self, ground, tmp_path):
+        data = ground.to_json_dict()
+        data["baselines"][0]["a"] = ["two", 0, 0]
+        path = tmp_path / "non_numeric.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InvalidInputError, match="numbers"):
             load_constellation(path)
 
     def test_constellation_needs_three_baselines(self):

@@ -21,6 +21,7 @@ from qps import (
     scan_line,
     scan_plane,
 )
+from qps.scenarios import MAX_SCAN_POINTS
 
 Z_GROUND = 100.0 / math.sqrt(3.0)
 
@@ -49,7 +50,7 @@ class TestBuildTerrestrial:
         c = build_terrestrial(TerrestrialConfig(3.5))
         for baseline in c.baselines:
             assert baseline.source == Point3(0.0, 0.0, 0.0)
-            assert baseline.is_midpoint_source
+            assert baseline.source_path_offset == 0.0
 
     def test_forward_delays_zero_at_origin(self):
         c = build_terrestrial(TerrestrialConfig(1.7))
@@ -77,7 +78,7 @@ class TestBuildLeo:
         c = build_leo(LeoConfig(7.36e6, 2.0e4))
         assert c.baselines[2].source == Point3(0.0, 0.0, 7.36e6)
         for baseline in c.baselines:
-            assert baseline.is_midpoint_source
+            assert baseline.source_path_offset == 0.0
 
 
 class TestScanPlane:
@@ -208,6 +209,26 @@ class TestScanBaselineLength:
     def test_nonpositive_a_rejected(self):
         with pytest.raises(InvalidInputError):
             scan_baseline_length(-1.0, 2.0, 5, Point3(30, 30, Z_GROUND), 1e-6)
+
+
+class TestScanBudget:
+    def test_over_budget_rejected(self, ground):
+        # Each scan is just over the budget.
+        with pytest.raises(InvalidInputError, match="exceeds"):
+            scan_plane(
+                ground,
+                AxisSpec("x", -1.0, 1.0, 1001),
+                AxisSpec("y", -1.0, 1.0, 1000),
+                "z",
+                Z_GROUND,
+                1e-6,
+            )
+        with pytest.raises(InvalidInputError, match="exceeds"):
+            scan_line(ground, Point3(1, 2, 3), Point3(4, 5, 6), MAX_SCAN_POINTS + 1, 1e-6)
+        with pytest.raises(InvalidInputError, match="exceeds"):
+            scan_baseline_length(
+                0.5, 5.0, MAX_SCAN_POINTS + 1, Point3(30, 30, Z_GROUND), 1e-6
+            )
 
 
 class TestFieldGrid:

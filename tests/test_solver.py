@@ -15,7 +15,6 @@ from qps import (
     forward_delays,
     forward_jacobian,
     multi_start_solve,
-    residuals,
     solve_position,
 )
 
@@ -34,6 +33,8 @@ class TestDelayTriple:
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
             DelayTriple(math.nan, 0.0, 0.0)
+        with pytest.raises(InvalidInputError):
+            DelayTriple.from_array(["x", 0.0, 0.0])
 
 
 class TestRegion:
@@ -44,6 +45,11 @@ class TestRegion:
     def test_center(self):
         region = Region(Point3(0, 0, 0), Point3(2, 4, 6))
         assert region.center == Point3(1, 2, 3)
+
+
+def residuals(constellation, candidate: Point3, delays: DelayTriple) -> np.ndarray:
+    """Range-difference residuals ``f_i = s_i(candidate) - s_i_measured``."""
+    return forward_delays(constellation, candidate) - delays.as_array()
 
 
 class TestResiduals:
