@@ -11,6 +11,7 @@ encoded by the sign of each delay, so no case analysis is needed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ STEP_TOL_M = 1e-14
 MAX_ITERATIONS = 200
 #: Converged solutions closer than this are considered the same point.
 CLUSTER_RADIUS_M = 1e-6
+#: Largest start count of one multi-start search.
+MAX_STARTS = 4096
+#: Step of the R3 sequence: inverse powers of the real root of x**4 = x + 1.
+_R3_STEP = 1.2207440846057596 ** -np.arange(1.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -260,32 +265,39 @@ def multi_start_solve(
     """Solve from quasi-random starts and return the distinct solutions.
 
     Three hyperboloids can intersect in more than one point; this runs
-    :func:`solve_position` from a scrambled Sobol sample of the region,
-    keeps the converged results, merges results closer than
-    ``CLUSTER_RADIUS_M``, and sorts the representatives by residual norm,
-    then by distance to the region center. Starts that fail to converge
-    are dropped; the list is empty when none converge.
+    :func:`solve_position` from the first ``n_starts`` points of the R3
+    sequence (Roberts' additive recurrence) over the region, shifted by a
+    random offset drawn from ``seed``. Converged results are sorted by
+    residual norm, then by distance to the region center, and a result
+    within ``CLUSTER_RADIUS_M`` of an earlier one is dropped. Starts that
+    fail to converge are dropped too; the list is empty when none
+    converge. ``n_starts`` must be an integer in [1, ``MAX_STARTS``] and
+    ``seed`` a non-negative integer, else ``InvalidInputError``.
     """
-    if n_starts < 1:
-        raise InvalidInputError(f"n_starts must be >= 1, got {n_starts}")
+    if not isinstance(n_starts, numbers.Integral) or not 1 <= n_starts <= MAX_STARTS:
+        raise InvalidInputError(f"n_starts must be an integer in [1, {MAX_STARTS}], got {n_starts!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     _validate_delays(constellation, delays)
 
-    # Imported here: scipy.stats dominates the package's import time.
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=3, scramble=True, seed=seed)
-    points = qmc.scale(
-        sampler.random(n_starts), region.lower.as_array(), region.upper.as_array()
-    )
+    shift = np.random.default_rng(seed).random(3)
+    unit = (shift + np.arange(1, n_starts + 1)[:, None] * _R3_STEP) % 1.0
+    lower, upper = region.lower.as_array(), region.upper.as_array()
 
     found: list[SolveResult] = []
-    for start in points:
+    for start in lower + unit * (upper - lower):
         try:
             found.append(solve_position(constellation, delays, Point3.from_array(start)))
         except (SingularJacobianError, NotConvergedError):
             continue
 
-    found.sort(key=lambda res: res.residual_norm)
+    center = region.center.as_array()
+    found.sort(
+        key=lambda res: (
+            res.residual_norm,
+            float(np.linalg.norm(res.position.as_array() - center)),
+        )
+    )
     representatives: list[SolveResult] = []
     for res in found:
         pos = res.position.as_array()
@@ -294,12 +306,4 @@ def multi_start_solve(
             for rep in representatives
         ):
             representatives.append(res)
-
-    center = region.center.as_array()
-    representatives.sort(
-        key=lambda res: (
-            res.residual_norm,
-            float(np.linalg.norm(res.position.as_array() - center)),
-        )
-    )
     return representatives

@@ -53,7 +53,7 @@ def translate_constellation(constellation: Constellation, shift: np.ndarray) -> 
     )
 
 
-def _condition(constellation: Constellation, user: np.ndarray) -> float:
+def condition(constellation: Constellation, user: np.ndarray) -> float:
     d_a = user - constellation.endpoints_a
     d_b = user - constellation.endpoints_b
     n_a = np.linalg.norm(d_a, axis=1)
@@ -93,5 +93,5 @@ def random_instance(
                 for a, b in zip(ends_a, ends_b)
             )
         )
-        if _condition(constellation, user) <= max_condition:
+        if condition(constellation, user) <= max_condition:
             return constellation, Point3.from_array(user)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 import qps
 from qps import Point3, TerrestrialConfig, build_terrestrial, point_error
 from qps.cli import main
+from qps.solver import MAX_STARTS
 
 U = 100.0 / math.sqrt(3.0)
 
@@ -19,6 +21,16 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*args):
+    """Run ``python ARGS`` in a fresh interpreter that imports this ``qps``."""
+    src = str(Path(qps.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 class TestGdopCommand:
@@ -125,6 +137,24 @@ class TestSolveCommand:
         data = json.loads(out)
         assert isinstance(data, list) and data
         assert np.linalg.norm(data[0]["position_m"]) < 1e-6
+
+    def test_start_count_over_limit(self, capsys):
+        code, _, err = run(
+            capsys,
+            ["solve", "--preset", "terrestrial", "--s", "0,0,0", "--region=-5,5,-5,5,-5,5",
+             "--starts", str(MAX_STARTS + 1)],
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "InvalidInputError"
+
+    def test_any_start_count_keeps_stderr_clean(self):
+        proc = run_fresh(
+            "-m", "qps", "solve", "--preset", "terrestrial", "--s=-2.3,-2.3,-2.3",
+            "--region=-80,80,-80,80,-80,80", "--starts", "10", "--seed", "0",
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)
 
     def test_requires_guess_or_region(self, capsys):
         code, _, err = run(
@@ -406,10 +436,28 @@ class TestUsageErrors:
 
 class TestImport:
     def test_cli_import_does_not_load_scipy_stats(self):
-        # scipy.stats dominates import time; only the multi-start search uses it.
-        src = str(Path(qps.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        code = "import sys, qps, qps.cli; sys.exit('scipy.stats' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
-        assert proc.returncode == 0
+        # numpy is the only third-party dependency, also for the multi-start search.
+        proc = run_fresh(
+            "-c",
+            "import sys, qps, qps.cli\n"
+            "c = qps.build_terrestrial(qps.TerrestrialConfig(2.0))\n"
+            "region = qps.Region(qps.Point3(-5, -5, -5), qps.Point3(5, 5, 5))\n"
+            "qps.multi_start_solve(c, qps.DelayTriple(0, 0, 0), region, 4, 0)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_package_imports_only_stdlib_and_numpy(self):
+        allowed = set(sys.stdlib_module_names) | {"numpy", "qps"}
+        outside = []
+        for path in sorted(Path(qps.__file__).resolve().parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+        assert outside == []

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qps import (
+    EARTH_RADIUS_M,
     Baseline,
     Constellation,
     DegenerateDelayError,
@@ -17,8 +19,9 @@ from qps import (
     multi_start_solve,
     solve_position,
 )
+from qps.solver import MAX_STARTS
 
-from .support import naive_delays, random_instance
+from .support import condition, naive_delays, random_instance
 
 
 def triple_from(constellation, user) -> DelayTriple:
@@ -207,10 +210,70 @@ class TestMultiStart:
     def test_invalid_start_count(self, ground, ground_user):
         delays = triple_from(ground, ground_user)
         region = Region(Point3(0, 0, 0), Point3(1, 1, 1))
-        with pytest.raises(InvalidInputError):
-            multi_start_solve(ground, delays, region, n_starts=0, seed=0)
+        # 2.5 must not be rounded to a start count.
+        for n_starts in (0, -1, 2.5, MAX_STARTS + 1):
+            with pytest.raises(InvalidInputError):
+                multi_start_solve(ground, delays, region, n_starts=n_starts, seed=0)
+
+    def test_invalid_seed(self, ground, ground_user):
+        delays = triple_from(ground, ground_user)
+        region = Region(Point3(0, 0, 0), Point3(1, 1, 1))
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidInputError):
+                multi_start_solve(ground, delays, region, n_starts=4, seed=seed)
 
     def test_degenerate_delays_rejected_up_front(self, ground):
         region = Region(Point3(0, 0, 0), Point3(1, 1, 1))
         with pytest.raises(DegenerateDelayError):
             multi_start_solve(ground, DelayTriple(5.0, 0.0, 0.0), region, n_starts=4, seed=0)
+
+
+def cube(half: float) -> Region:
+    return Region(Point3(-half, -half, -half), Point3(half, half, half))
+
+
+def draw_until(accept, draw) -> np.ndarray:
+    while not accept(user := draw()):
+        pass
+    return user
+
+
+class TestSearch:
+    """Cold searches as in the benchmark's acquisition workload: one ground
+    user in each octant of the +-80 m box with 16 starts, and an antipodal
+    pair on the Earth's surface with 64 starts over +-8e6 m."""
+
+    @pytest.fixture(scope="class")
+    def searches(self, ground, leo):
+        rng = np.random.default_rng(1)
+
+        def on_earth():
+            v = rng.normal(size=3)
+            return EARTH_RADIUS_M * v / np.linalg.norm(v)
+
+        cases = []
+        for signs in itertools.product((-1.0, 1.0), repeat=3):
+            user = draw_until(
+                lambda u: condition(ground, u) <= 1e3,
+                lambda: np.array(signs) * rng.uniform(0.0, 80.0, 3),
+            )
+            cases.append((ground, user, 80.0, 16))
+        u = draw_until(lambda u: max(condition(leo, u), condition(leo, -u)) <= 1e3, on_earth)
+        cases += [(leo, u, 8e6, 64), (leo, -u, 8e6, 64)]
+        out = []
+        for seed, (constellation, user, half, starts) in enumerate(cases):
+            delays = DelayTriple.from_array(naive_delays(constellation, Point3.from_array(user)))
+            args = (constellation, delays, cube(half), starts, seed)
+            out.append((user, args, multi_start_solve(*args)))
+        return out
+
+    def test_true_user_found(self, searches):
+        for user, _, results in searches:
+            tol = 1e-6 * max(1.0, float(np.linalg.norm(user)))
+            distances = [np.linalg.norm(r.position.as_array() - user) for r in results]
+            assert distances and min(distances) <= tol, (user, distances)
+
+    def test_same_seed_same_candidates(self, searches):
+        # One ground and one satellite search, repeated.
+        for _, args, results in (searches[0], searches[-1]):
+            assert multi_start_solve(*args) == results
