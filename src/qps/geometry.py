@@ -213,11 +213,13 @@ def forward_delays(constellation: Constellation, user: Point3) -> np.ndarray:
 
 
 def delays_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
-    """Array-level forward model: balancing delays at position ``xyz``.
+    """Array-level forward model: balancing delays at positions ``xyz``.
 
     Hot-path variant of :func:`forward_delays` operating on a raw
-    coordinate array. Baseline i's delay is the path-length excess of its
-    endpoint_a leg over its endpoint_b leg:
+    coordinate array of shape ``(..., 3)``; the result has the same shape,
+    one delay per baseline, and each position's delays are bit-identical to
+    evaluating it alone. Baseline i's delay is the path-length excess of
+    its endpoint_a leg over its endpoint_b leg:
 
         s = (|xyz - A| + |A - source|) - (|xyz - B| + |source - B|)
 
@@ -230,12 +232,13 @@ def delays_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
     """
     if not np.all(np.isfinite(xyz)):
         raise InvalidInputError(f"position must be finite, got {xyz!r}")
-    d_a = np.linalg.norm(xyz - constellation.endpoints_a, axis=1)
-    d_b = np.linalg.norm(xyz - constellation.endpoints_b, axis=1)
+    p = xyz[..., None, :]
+    d_a = np.linalg.norm(p - constellation.endpoints_a, axis=-1)
+    d_b = np.linalg.norm(p - constellation.endpoints_b, axis=-1)
     denom = d_a + d_b
     if np.any(denom == 0.0):
         raise InvalidInputError("position coincides with both endpoints of a baseline")
-    num = -2.0 * np.einsum("ij,ij->i", xyz - constellation.midpoints, constellation.axes)
+    num = -2.0 * np.einsum("...ij,ij->...i", p - constellation.midpoints, constellation.axes)
     return num / denom + constellation.source_path_offsets
 
 
@@ -248,33 +251,39 @@ def forward_jacobian(constellation: Constellation, user: Point3) -> np.ndarray:
 
 
 def jacobian_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
-    """Array-level gradient of :func:`delays_at` at position ``xyz``.
+    """Array-level gradient of :func:`delays_at` at positions ``xyz``.
 
     Row i is ``unit(xyz - A_i) - unit(xyz - B_i)``: the rate of change of
-    baseline i's balancing delay per unit displacement.
+    baseline i's balancing delay per unit displacement. ``xyz`` has shape
+    ``(..., 3)`` and the result ``(..., 3, 3)``, each position's matrix
+    bit-identical to evaluating it alone.
 
     Raises:
-        InvalidInputError: The position coincides with a baseline
-            endpoint, where the gradient is undefined.
+        InvalidInputError: A position coincides with a baseline endpoint,
+            where the gradient is undefined.
     """
-    d_a = xyz - constellation.endpoints_a
-    d_b = xyz - constellation.endpoints_b
-    n_a = np.linalg.norm(d_a, axis=1)
-    n_b = np.linalg.norm(d_b, axis=1)
+    p = xyz[..., None, :]
+    d_a = p - constellation.endpoints_a
+    d_b = p - constellation.endpoints_b
+    n_a = np.linalg.norm(d_a, axis=-1)
+    n_b = np.linalg.norm(d_b, axis=-1)
     if np.any(n_a == 0.0) or np.any(n_b == 0.0):
         raise InvalidInputError("position coincides with a baseline endpoint")
-    return d_a / n_a[:, None] - d_b / n_b[:, None]
+    return d_a / n_a[..., None] - d_b / n_b[..., None]
 
 
-def condition_number(jacobian: np.ndarray) -> float:
+def condition_number(jacobian: np.ndarray) -> float | np.ndarray:
     """2-norm condition number of a delay Jacobian; infinite when singular.
 
-    The geometry is degenerate where this exceeds ``CONDITION_LIMIT``.
+    The geometry is degenerate where this exceeds ``CONDITION_LIMIT``. A
+    stack of shape ``(..., 3, 3)`` gives an array of condition numbers.
     """
     svals = np.linalg.svd(jacobian, compute_uv=False)
-    if svals[-1] == 0.0:
-        return math.inf
-    return float(svals[0] / svals[-1])
+    if svals.ndim == 1:
+        return math.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
+    cond = np.full(svals.shape[:-1], math.inf)
+    np.divide(svals[..., 0], svals[..., -1], out=cond, where=svals[..., -1] != 0.0)
+    return cond
 
 
 def json_float(v: float) -> float | None:

@@ -10,6 +10,7 @@ encoded by the sign of each delay, so no case analysis is needed.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -154,7 +155,9 @@ def solve_position(
         SingularJacobianError: The Jacobian at an iterate is degenerate
             (condition number above ``CONDITION_LIMIT``, or the iterate
             sits on a baseline endpoint).
-        NotConvergedError: Iteration budget exhausted or damping stalled.
+        NotConvergedError: Iteration budget exhausted, or damping stalled:
+            no damping reduces the residual, or the accepted step leaves
+            the iterate unchanged, so every later iteration would repeat.
     """
     s = _validate_delays(constellation, delays)
     x = initial_guess.as_array()
@@ -186,7 +189,11 @@ def solve_position(
         x_new = x + step
         r_new = delays_at(constellation, x_new) - s
         if float(np.linalg.norm(r_new)) > r_norm:
-            x_new, r_new = _damped_step(constellation, x, r, jac, s)
+            x_new, r_new = (a[0] for a in _damped_step(constellation, x[None], r[None], jac[None], s))
+        if x_new.tobytes() == x.tobytes():  # _unmoved, for one row
+            raise NotConvergedError(
+                f"damping stalled at residual norm {r_norm:.3e} m at {x.tolist()}"
+            )
         x, r = x_new, r_new
         iterations += 1
 
@@ -196,6 +203,20 @@ def solve_position(
     )
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v``, bit-identical to ``np.linalg.norm(row)``."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _unmoved(x_new: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows where the accepted point equals the current one bit for bit.
+
+    The iteration is a deterministic function of the iterate alone, so
+    such a start would repeat the same step until the budget ran out.
+    """
+    return (x_new.view(np.int64) == x.view(np.int64)).all(axis=-1)
+
+
 def _damped_step(
     constellation: Constellation,
     x: np.ndarray,
@@ -203,21 +224,31 @@ def _damped_step(
     jac: np.ndarray,
     s: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Levenberg fallback: increase damping until the residual decreases."""
-    r_norm = float(np.linalg.norm(r))
-    jtj = jac.T @ jac
-    jtr = jac.T @ r
+    """Levenberg fallback, row-wise over ``(n, 3)`` iterates.
+
+    For each row, raise the damping of the normal equations from 1e-4 by
+    factors of 10 up to 1e12 until the residual norm does not increase. A
+    row that no damping helps keeps its current point and residual.
+    """
+    r_norm = _norms(r)
+    jt = np.swapaxes(jac, -1, -2)
+    jtj = jt @ jac
+    jtr = jt @ r[..., None]
+    # The diagonal of J^T J is non-negative, so this is diag(diag(jtj)) with
+    # +0.0 off the diagonal, as the damping term must be.
+    scale = np.diagonal(jtj, axis1=-2, axis2=-1)[..., None] * np.eye(3)
+    x_new, r_new = x.copy(), r.copy()
+    todo = np.arange(len(x))
     lam = 1e-4
-    while lam <= 1e12:
-        step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jtr)
-        x_new = x + step
-        r_new = delays_at(constellation, x_new) - s
-        if float(np.linalg.norm(r_new)) <= r_norm:
-            return x_new, r_new
+    while lam <= 1e12 and todo.size:
+        step = np.linalg.solve(jtj[todo] + lam * scale[todo], -jtr[todo])[..., 0]
+        x_try = x[todo] + step
+        r_try = delays_at(constellation, x_try) - s
+        ok = _norms(r_try) <= r_norm[todo]
+        x_new[todo[ok]], r_new[todo[ok]] = x_try[ok], r_try[ok]
+        todo = todo[~ok]
         lam *= 10.0
-    raise NotConvergedError(
-        f"damping stalled at residual norm {r_norm:.3e} m at {x.tolist()}"
-    )
+    return x_new, r_new
 
 
 def _polish(
@@ -255,6 +286,76 @@ def _result(
     )
 
 
+def _r3_starts(region: Region, n_starts: int, seed: int) -> np.ndarray:
+    """The first ``n_starts`` points of the seeded, shifted R3 sequence over ``region``."""
+    shift = np.random.default_rng(seed).random(3)
+    unit = (shift + np.arange(1, n_starts + 1)[:, None] * _R3_STEP) % 1.0
+    lower, upper = region.lower.as_array(), region.upper.as_array()
+    return lower + unit * (upper - lower)
+
+
+def _jacobians(constellation: Constellation, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked :func:`jacobian_at` of ``(n, 3)`` iterates, and a mask of the
+    rows on a baseline endpoint, whose matrices are NaN."""
+    try:
+        return jacobian_at(constellation, x), np.zeros(len(x), dtype=bool)
+    except InvalidInputError:
+        pass
+    jac = np.full((len(x), 3, 3), np.nan)
+    for i, row in enumerate(x):
+        with contextlib.suppress(InvalidInputError):
+            jac[i] = jacobian_at(constellation, row)
+    return jac, np.isnan(jac[:, 0, 0])
+
+
+def _solve_starts(
+    constellation: Constellation, s: np.ndarray, starts: np.ndarray
+) -> list[SolveResult | None]:
+    """Run :func:`solve_position` from every row of ``starts`` at once.
+
+    The live starts advance in lockstep as one ``(n, 3)`` array, so the
+    residuals, Jacobians, condition numbers, Newton steps and damping
+    ladder of an iteration are one numpy call each. Every row follows
+    solve_position's rules with the same floating-point operations, and
+    leaves the array where solve_position would return or raise: it
+    converges, its Jacobian is singular or undefined, it stalls, or the
+    budget runs out. One result per start, ``None`` where the start fails;
+    a converged one is the exact result of solve_position from that start.
+    """
+    found: list[SolveResult | None] = [None] * len(starts)
+    x = starts
+    r = delays_at(constellation, x) - s
+    rows = np.arange(len(x))
+    for iterations in range(MAX_ITERATIONS):
+        r_norm = _norms(r)
+        done = r_norm < RESIDUAL_TOL * (1.0 + _norms(x))
+        for i in np.flatnonzero(done):
+            found[rows[i]] = _result(constellation, *_polish(constellation, x[i], r[i], s), iterations)
+        x, r, r_norm, rows = (a[~done] for a in (x, r, r_norm, rows))
+
+        jac, on_endpoint = _jacobians(constellation, x)
+        regular = ~on_endpoint
+        regular[regular] = condition_number(jac[regular]) <= CONDITION_LIMIT
+        x, r, r_norm, rows, jac = (a[regular] for a in (x, r, r_norm, rows, jac))
+
+        step = np.linalg.solve(jac, -r[..., None])[..., 0]
+        done = _norms(step) < STEP_TOL_M
+        for i in np.flatnonzero(done):
+            found[rows[i]] = _result(constellation, x[i], r[i], iterations)
+        x, r, r_norm, rows, jac, step = (a[~done] for a in (x, r, r_norm, rows, jac, step))
+
+        x_new = x + step
+        r_new = delays_at(constellation, x_new) - s
+        worse = _norms(r_new) > r_norm
+        if worse.any():
+            x_new[worse], r_new[worse] = _damped_step(constellation, x[worse], r[worse], jac[worse], s)
+        moved = ~_unmoved(x_new, x)
+        x, r, rows = x_new[moved], r_new[moved], rows[moved]
+        if not rows.size:
+            break
+    return found
+
+
 def multi_start_solve(
     constellation: Constellation,
     delays: DelayTriple,
@@ -265,9 +366,10 @@ def multi_start_solve(
     """Solve from quasi-random starts and return the distinct solutions.
 
     Three hyperboloids can intersect in more than one point; this runs
-    :func:`solve_position` from the first ``n_starts`` points of the R3
-    sequence (Roberts' additive recurrence) over the region, shifted by a
-    random offset drawn from ``seed``. Converged results are sorted by
+    :func:`solve_position`'s iteration from the first ``n_starts`` points
+    of the R3 sequence (Roberts' additive recurrence) over the region,
+    shifted by a random offset drawn from ``seed``, advancing all starts
+    together as one array. Converged results are sorted by
     residual norm, then by distance to the region center, and a result
     within ``CLUSTER_RADIUS_M`` of an earlier one is dropped. Starts that
     fail to converge are dropped too; the list is empty when none
@@ -278,18 +380,10 @@ def multi_start_solve(
         raise InvalidInputError(f"n_starts must be an integer in [1, {MAX_STARTS}], got {n_starts!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
-    _validate_delays(constellation, delays)
+    s = _validate_delays(constellation, delays)
 
-    shift = np.random.default_rng(seed).random(3)
-    unit = (shift + np.arange(1, n_starts + 1)[:, None] * _R3_STEP) % 1.0
-    lower, upper = region.lower.as_array(), region.upper.as_array()
-
-    found: list[SolveResult] = []
-    for start in lower + unit * (upper - lower):
-        try:
-            found.append(solve_position(constellation, delays, Point3.from_array(start)))
-        except (SingularJacobianError, NotConvergedError):
-            continue
+    starts = _r3_starts(region, n_starts, seed)
+    found = [res for res in _solve_starts(constellation, s, starts) if res is not None]
 
     center = region.center.as_array()
     found.sort(

@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 
-from qps import Baseline, Constellation, Point3
+from qps import (
+    Baseline,
+    Constellation,
+    NotConvergedError,
+    Point3,
+    SingularJacobianError,
+    solve_position,
+)
+from qps.solver import CLUSTER_RADIUS_M, _r3_starts
 
 
 def naive_delay(baseline: Baseline, user: Point3) -> float:
@@ -95,3 +103,34 @@ def random_instance(
         )
         if condition(constellation, user) <= max_condition:
             return constellation, Point3.from_array(user)
+
+
+def reference_multi_start(constellation, delays, region, n_starts, seed):
+    """``multi_start_solve`` as one ``solve_position`` call per start.
+
+    The reference for the lockstep search: the same R3 starts, failed
+    starts dropped, then the same sort by (residual norm, distance to the
+    region centre) and greedy clustering.
+    """
+    found = []
+    for start in _r3_starts(region, n_starts, seed):
+        try:
+            found.append(solve_position(constellation, delays, Point3.from_array(start)))
+        except (SingularJacobianError, NotConvergedError):
+            continue
+    center = region.center.as_array()
+    found.sort(
+        key=lambda res: (
+            res.residual_norm,
+            float(np.linalg.norm(res.position.as_array() - center)),
+        )
+    )
+    representatives = []
+    for res in found:
+        pos = res.position.as_array()
+        if all(
+            float(np.linalg.norm(pos - rep.position.as_array())) > CLUSTER_RADIUS_M
+            for rep in representatives
+        ):
+            representatives.append(res)
+    return representatives

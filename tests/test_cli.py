@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qps
-from qps import Point3, TerrestrialConfig, build_terrestrial, point_error
+from qps import Point3, TerrestrialConfig, build_terrestrial, forward_delays, point_error
 from qps.cli import main
 from qps.solver import MAX_STARTS
 
@@ -155,6 +155,18 @@ class TestSolveCommand:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)
+
+    def test_stalled_start_is_a_json_error(self, capsys):
+        s = forward_delays(build_terrestrial(TerrestrialConfig(2.0)), Point3(15, 32, -28))
+        code, _, err = run(
+            capsys,
+            ["solve", "--preset", "terrestrial", "--a", "2", "--s=" + ",".join(map(repr, s.tolist())),
+             "--guess=-40,-40,-40"],
+        )
+        assert code == 1
+        data = json.loads(err)
+        assert data["error"] == "NotConvergedError"
+        assert "stalled" in data["message"]
 
     def test_requires_guess_or_region(self, capsys):
         code, _, err = run(

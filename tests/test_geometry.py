@@ -14,6 +14,7 @@ from qps import (
     forward_delays,
     load_constellation,
 )
+from qps.geometry import condition_number, delays_at, jacobian_at
 
 from .support import (
     naive_delay,
@@ -102,6 +103,28 @@ class TestForwardDelays:
     def test_against_distance_oracle_leo(self, leo, leo_user):
         expected = naive_delays(leo, leo_user)
         np.testing.assert_allclose(forward_delays(leo, leo_user), expected, atol=5e-8)
+
+
+class TestBroadcast:
+    def test_stack_matches_single_points_exactly(self, ground, leo):
+        rng = np.random.default_rng(11)
+        for constellation, scale in ((ground, 100.0), (leo, 1e7)):
+            xyz = rng.normal(size=(4, 5, 3)) * scale * 10.0 ** rng.uniform(-3, 6, (4, 5, 1))
+            delays, jac = delays_at(constellation, xyz), jacobian_at(constellation, xyz)
+            cond = condition_number(jac)
+            assert delays.shape == (4, 5, 3) and jac.shape == (4, 5, 3, 3) and cond.shape == (4, 5)
+            for idx in np.ndindex(4, 5):
+                assert np.array_equal(delays[idx], delays_at(constellation, xyz[idx]))
+                assert np.array_equal(jac[idx], jacobian_at(constellation, xyz[idx]))
+                assert cond[idx] == condition_number(jac[idx])
+
+    def test_stacked_singular_condition_is_infinite(self):
+        jac = np.array([np.eye(3), np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])])
+        assert condition_number(jac).tolist() == [1.0, math.inf, math.inf]
+
+    def test_endpoint_in_stack_rejected(self, ground):
+        with pytest.raises(InvalidInputError):
+            jacobian_at(ground, np.array([[1.0, 2.0, 3.0], [2.0, 0.0, 0.0]]))
 
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import qps.solver
 from qps import (
     EARTH_RADIUS_M,
     Baseline,
@@ -11,6 +12,7 @@ from qps import (
     DegenerateDelayError,
     DelayTriple,
     InvalidInputError,
+    NotConvergedError,
     Point3,
     Region,
     SingularJacobianError,
@@ -19,9 +21,10 @@ from qps import (
     multi_start_solve,
     solve_position,
 )
-from qps.solver import MAX_STARTS
+from qps.geometry import delays_at
+from qps.solver import MAX_STARTS, _r3_starts, _solve_starts
 
-from .support import condition, naive_delays, random_instance
+from .support import condition, naive_delays, random_instance, reference_multi_start
 
 
 def triple_from(constellation, user) -> DelayTriple:
@@ -129,6 +132,24 @@ class TestSolvePosition:
         with pytest.raises(SingularJacobianError):
             solve_position(ground, delays, Point3(2.0, 0.0, 0.0))
 
+    def test_stalled_start_fails_early(self, ground, monkeypatch):
+        # From this guess the damping ladder climbs until the accepted point
+        # equals the current one bit for bit. The iteration depends on the
+        # iterate alone, so the start fails at once instead of repeating that
+        # state until the iteration budget runs out (1746 evaluations).
+        delays = triple_from(ground, Point3(15, 32, -28))
+        calls = 0
+
+        def counting(constellation, xyz):
+            nonlocal calls
+            calls += 1
+            return delays_at(constellation, xyz)
+
+        monkeypatch.setattr(qps.solver, "delays_at", counting)
+        with pytest.raises(NotConvergedError, match="stalled"):
+            solve_position(ground, delays, Point3(-40, -40, -40))
+        assert calls < 100
+
     def test_round_trip_random_instances(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
@@ -228,6 +249,74 @@ class TestMultiStart:
             multi_start_solve(ground, DelayTriple(5.0, 0.0, 0.0), region, n_starts=4, seed=0)
 
 
+def solve_or_none(constellation, delays, start):
+    try:
+        return solve_position(constellation, delays, Point3.from_array(start))
+    except (SingularJacobianError, NotConvergedError):
+        return None
+
+
+def near_region(results, region):
+    """Candidates within 1e6 half-diagonals of the region centre.
+
+    Farther ones are the divergent iterates that the relative convergence
+    test accepts; the lockstep search need not reproduce them exactly.
+    """
+    center = region.center.as_array()
+    limit = 1e6 * 0.5 * np.linalg.norm(region.upper.as_array() - region.lower.as_array())
+    return [r for r in results if np.linalg.norm(r.position.as_array() - center) <= limit]
+
+
+def assert_matches_reference(constellation, delays, region, n_starts, seed):
+    got = multi_start_solve(constellation, delays, region, n_starts, seed)
+    ref = reference_multi_start(constellation, delays, region, n_starts, seed)
+    assert near_region(got, region) == near_region(ref, region)
+
+
+class TestLockstep:
+    """The lockstep search against one solve_position call per start."""
+
+    def test_mirror_layout(self):
+        constellation = planar_constellation()
+        delays = triple_from(constellation, Point3(0.5, 0.8, 1.7))
+        assert_matches_reference(
+            constellation, delays, Region(Point3(-3, -3, -4), Point3(5, 5, 4)), 128, 3
+        )
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(7)
+        for seed in range(40):
+            constellation, user = random_instance(rng)
+            u = user.as_array()
+            region = Region(Point3.from_array(u - 15.0), Point3.from_array(u + 15.0))
+            assert_matches_reference(constellation, triple_from(constellation, user), region, 16, seed)
+
+    def test_single_start(self, ground):
+        # Converging, singular and stalling starts alike.
+        delays = triple_from(ground, Point3(15, 32, -28))
+        region = cube(80.0)
+        outcomes = set()
+        for seed in range(12):
+            start = _r3_starts(region, 1, seed)[0]
+            expected = solve_or_none(ground, delays, start)
+            outcomes.add(expected is None)
+            assert multi_start_solve(ground, delays, region, 1, seed) == (
+                [] if expected is None else [expected]
+            )
+        assert outcomes == {True, False}
+
+    def test_failed_rows_leave_others_alone(self, ground, ground_user):
+        # An endpoint start and a symmetry-axis start fail as singular
+        # without aborting the rows that converge.
+        delays = triple_from(ground, ground_user)
+        starts = np.array(
+            [[2.0, 0.0, 0.0], [0.0, 0.0, 100.0], [50.0, 50.0, 50.0], [-40.0, -40.0, -40.0], [40.0, 60.0, 45.0]]
+        )
+        got = _solve_starts(ground, delays.as_array(), starts)
+        assert got == [solve_or_none(ground, delays, start) for start in starts]
+        assert got[0] is None and got[1] is None and got[2] is not None
+
+
 def cube(half: float) -> Region:
     return Region(Point3(-half, -half, -half), Point3(half, half, half))
 
@@ -272,6 +361,10 @@ class TestSearch:
             tol = 1e-6 * max(1.0, float(np.linalg.norm(user)))
             distances = [np.linalg.norm(r.position.as_array() - user) for r in results]
             assert distances and min(distances) <= tol, (user, distances)
+
+    def test_matches_reference_loop(self, searches):
+        for _, args, results in searches:
+            assert near_region(results, args[2]) == near_region(reference_multi_start(*args), args[2])
 
     def test_same_seed_same_candidates(self, searches):
         # One ground and one satellite search, repeated.
