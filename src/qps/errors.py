@@ -26,8 +26,8 @@ class SingularJacobianError(QpsError):
 
 
 class NotConvergedError(QpsError):
-    """The iterative solver exhausted its iteration budget or stalled
-    before meeting the convergence criteria."""
+    """The iterative solver exhausted its iteration budget, stalled or
+    left its divergence bound before meeting the convergence criteria."""
 
 
 class NoDipFoundError(QpsError):

@@ -145,6 +145,17 @@ class Constellation:
         return 0.5 * (self.endpoints_a + self.endpoints_b)
 
     @cached_property
+    def centre(self) -> np.ndarray:
+        """Mean of the three baseline midpoints."""
+        return self.midpoints.mean(axis=0)
+
+    @cached_property
+    def radius(self) -> float:
+        """Distance from :attr:`centre` to the farthest baseline endpoint."""
+        ends = np.concatenate((self.endpoints_a, self.endpoints_b))
+        return float(np.linalg.norm(ends - self.centre, axis=1).max())
+
+    @cached_property
     def axes(self) -> np.ndarray:
         """Endpoint difference vectors ``A - B``, one row per baseline."""
         return self.endpoints_a - self.endpoints_b

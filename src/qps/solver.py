@@ -2,10 +2,11 @@
 
 Each delay observable constrains the user to one sheet of a hyperboloid
 of revolution with foci at the baseline endpoints; the position is the
-intersection of three such sheets. The inversion is a damped Gauss-Newton
-iteration on the range-difference residuals with the analytic Jacobian
-(difference of unit vectors toward the two endpoints); sheet selection is
-encoded by the sign of each delay, so no case analysis is needed.
+intersection of three such sheets. The inversion is a Newton iteration
+with a backtracking line search on the range-difference residuals and the
+analytic Jacobian (difference of unit vectors toward the two endpoints);
+sheet selection is encoded by the sign of each delay, so no case analysis
+is needed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,13 @@ RESIDUAL_TOL = 1e-12
 STEP_TOL_M = 1e-14
 #: Iteration budget.
 MAX_ITERATIONS = 200
-#: Converged solutions closer than this are considered the same point.
+#: An iterate farther than this many times ``max(radius, |start - centre|)``
+#: from the constellation centre is abandoned as divergent.
+DIVERGENCE_FACTOR = 1e3
+#: Smallest step scale of the backtracking line search.
+MIN_STEP_SCALE = 2.0**-40
+#: Converged solutions closer than this are considered the same point. Beyond
+#: 1 km from the origin the radius grows as ``|x| / 1 km``, as rounding does.
 CLUSTER_RADIUS_M = 1e-6
 #: Largest start count of one multi-start search.
 MAX_STARTS = 4096
@@ -136,13 +143,16 @@ def solve_position(
 ) -> SolveResult:
     """Invert the three range-difference equations for the user position.
 
-    Damped Gauss-Newton: full Newton steps while they reduce the residual
-    norm, with multiplicative Levenberg damping of the normal equations as
-    the fallback. Converged when ``||f|| < 1e-12 * (1 + |x|)`` or the
+    Newton's method with a backtracking line search: a full Newton step
+    when it does not raise the residual norm, else the same step scaled by
+    1/2, 1/4, ... down to ``MIN_STEP_SCALE``, the first scale that does
+    not raise it. Converged when ``||f|| < 1e-12 * (1 + |x|)`` or the
     Newton step is below 1e-14 m; after the residual criterion fires, full
     steps are polished in while they still strictly reduce the residual,
     which costs a couple of extra function evaluations and buys the last
-    digits of position accuracy.
+    digits of position accuracy. An iterate farther from the constellation
+    centre than ``DIVERGENCE_FACTOR * max(radius, |guess - centre|)`` is
+    abandoned before the residual test.
 
     Args:
         constellation: Baseline geometry.
@@ -155,16 +165,24 @@ def solve_position(
         SingularJacobianError: The Jacobian at an iterate is degenerate
             (condition number above ``CONDITION_LIMIT``, or the iterate
             sits on a baseline endpoint).
-        NotConvergedError: Iteration budget exhausted, or damping stalled:
-            no damping reduces the residual, or the accepted step leaves
-            the iterate unchanged, so every later iteration would repeat.
+        NotConvergedError: The iterate left the divergence bound, the
+            iteration budget ran out, or the step stalled: no step scale
+            keeps the residual from rising, or the accepted step leaves the
+            iterate unchanged, so every later iteration would repeat.
     """
     s = _validate_delays(constellation, delays)
     x = initial_guess.as_array()
+    centre = constellation.centre.tolist()
+    bound = _bound(constellation, x.tolist())
     r = delays_at(constellation, x) - s
     iterations = 0
 
     for _ in range(MAX_ITERATIONS):
+        if math.dist(x.tolist(), centre) > bound:
+            raise NotConvergedError(
+                f"iterate left the bound of {bound:.3e} m around the constellation "
+                f"centre at {x.tolist()}"
+            )
         r_norm = float(np.linalg.norm(r))
         if r_norm < RESIDUAL_TOL * (1.0 + float(np.linalg.norm(x))):
             x, r = _polish(constellation, x, r, s)
@@ -189,10 +207,10 @@ def solve_position(
         x_new = x + step
         r_new = delays_at(constellation, x_new) - s
         if float(np.linalg.norm(r_new)) > r_norm:
-            x_new, r_new = (a[0] for a in _damped_step(constellation, x[None], r[None], jac[None], s))
+            x_new, r_new = (a[0] for a in _backtrack(constellation, x[None], r[None], step[None], s))
         if x_new.tobytes() == x.tobytes():  # _unmoved, for one row
             raise NotConvergedError(
-                f"damping stalled at residual norm {r_norm:.3e} m at {x.tolist()}"
+                f"step stalled at residual norm {r_norm:.3e} m at {x.tolist()}"
             )
         x, r = x_new, r_new
         iterations += 1
@@ -201,6 +219,13 @@ def solve_position(
         f"no convergence in {MAX_ITERATIONS} iterations; last residual norm "
         f"{float(np.linalg.norm(r)):.3e} m at {x.tolist()}"
     )
+
+
+def _bound(constellation: Constellation, start: list[float]) -> float:
+    """Distance from the constellation centre beyond which an iterate from
+    ``start`` counts as divergent."""
+    distance = math.dist(start, constellation.centre.tolist())
+    return DIVERGENCE_FACTOR * max(constellation.radius, distance)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -217,37 +242,32 @@ def _unmoved(x_new: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x_new.view(np.int64) == x.view(np.int64)).all(axis=-1)
 
 
-def _damped_step(
+def _backtrack(
     constellation: Constellation,
     x: np.ndarray,
     r: np.ndarray,
-    jac: np.ndarray,
+    step: np.ndarray,
     s: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Levenberg fallback, row-wise over ``(n, 3)`` iterates.
+    """Backtracking line search, row-wise over ``(n, 3)`` iterates.
 
-    For each row, raise the damping of the normal equations from 1e-4 by
-    factors of 10 up to 1e12 until the residual norm does not increase. A
-    row that no damping helps keeps its current point and residual.
+    For each row, scale its Newton ``step`` by 1/2, 1/4, ... down to
+    ``MIN_STEP_SCALE`` until the residual norm does not increase. The
+    Newton direction descends on ``||f||**2`` wherever the Jacobian is
+    nonsingular. A row that no scale helps keeps its current point and
+    residual.
     """
     r_norm = _norms(r)
-    jt = np.swapaxes(jac, -1, -2)
-    jtj = jt @ jac
-    jtr = jt @ r[..., None]
-    # The diagonal of J^T J is non-negative, so this is diag(diag(jtj)) with
-    # +0.0 off the diagonal, as the damping term must be.
-    scale = np.diagonal(jtj, axis1=-2, axis2=-1)[..., None] * np.eye(3)
     x_new, r_new = x.copy(), r.copy()
     todo = np.arange(len(x))
-    lam = 1e-4
-    while lam <= 1e12 and todo.size:
-        step = np.linalg.solve(jtj[todo] + lam * scale[todo], -jtr[todo])[..., 0]
-        x_try = x[todo] + step
+    t = 0.5
+    while t >= MIN_STEP_SCALE and todo.size:
+        x_try = x[todo] + t * step[todo]
         r_try = delays_at(constellation, x_try) - s
         ok = _norms(r_try) <= r_norm[todo]
         x_new[todo[ok]], r_new[todo[ok]] = x_try[ok], r_try[ok]
         todo = todo[~ok]
-        lam *= 10.0
+        t *= 0.5
     return x_new, r_new
 
 
@@ -314,19 +334,25 @@ def _solve_starts(
     """Run :func:`solve_position` from every row of ``starts`` at once.
 
     The live starts advance in lockstep as one ``(n, 3)`` array, so the
-    residuals, Jacobians, condition numbers, Newton steps and damping
-    ladder of an iteration are one numpy call each. Every row follows
+    residuals, Jacobians, condition numbers, Newton steps and line search
+    of an iteration are one numpy call each. Every row follows
     solve_position's rules with the same floating-point operations, and
-    leaves the array where solve_position would return or raise: it
-    converges, its Jacobian is singular or undefined, it stalls, or the
-    budget runs out. One result per start, ``None`` where the start fails;
-    a converged one is the exact result of solve_position from that start.
+    leaves the array where solve_position would return or raise: it leaves
+    its divergence bound, converges, its Jacobian is singular or
+    undefined, it stalls, or the budget runs out. One result per start,
+    ``None`` where the start fails; a converged one is the exact result of
+    solve_position from that start.
     """
     found: list[SolveResult | None] = [None] * len(starts)
+    centre = constellation.centre.tolist()
+    bound = np.array([_bound(constellation, start) for start in starts.tolist()])
     x = starts
     r = delays_at(constellation, x) - s
     rows = np.arange(len(x))
     for iterations in range(MAX_ITERATIONS):
+        # math.dist row by row, as solve_position measures it.
+        inside = np.array([math.dist(p, centre) for p in x.tolist()]) <= bound[rows]
+        x, r, rows = x[inside], r[inside], rows[inside]
         r_norm = _norms(r)
         done = r_norm < RESIDUAL_TOL * (1.0 + _norms(x))
         for i in np.flatnonzero(done):
@@ -342,13 +368,13 @@ def _solve_starts(
         done = _norms(step) < STEP_TOL_M
         for i in np.flatnonzero(done):
             found[rows[i]] = _result(constellation, x[i], r[i], iterations)
-        x, r, r_norm, rows, jac, step = (a[~done] for a in (x, r, r_norm, rows, jac, step))
+        x, r, r_norm, rows, step = (a[~done] for a in (x, r, r_norm, rows, step))
 
         x_new = x + step
         r_new = delays_at(constellation, x_new) - s
         worse = _norms(r_new) > r_norm
         if worse.any():
-            x_new[worse], r_new[worse] = _damped_step(constellation, x[worse], r[worse], jac[worse], s)
+            x_new[worse], r_new[worse] = _backtrack(constellation, x[worse], r[worse], step[worse], s)
         moved = ~_unmoved(x_new, x)
         x, r, rows = x_new[moved], r_new[moved], rows[moved]
         if not rows.size:
@@ -371,10 +397,11 @@ def multi_start_solve(
     shifted by a random offset drawn from ``seed``, advancing all starts
     together as one array. Converged results are sorted by
     residual norm, then by distance to the region center, and a result
-    within ``CLUSTER_RADIUS_M`` of an earlier one is dropped. Starts that
-    fail to converge are dropped too; the list is empty when none
-    converge. ``n_starts`` must be an integer in [1, ``MAX_STARTS``] and
-    ``seed`` a non-negative integer, else ``InvalidInputError``.
+    within ``CLUSTER_RADIUS_M * max(1, |x| / 1 km)`` of an earlier one is
+    dropped. Starts that fail to converge are dropped too; the list is
+    empty when none converge. ``n_starts`` must be an integer in
+    [1, ``MAX_STARTS``] and ``seed`` a non-negative integer, else
+    ``InvalidInputError``.
     """
     if not isinstance(n_starts, numbers.Integral) or not 1 <= n_starts <= MAX_STARTS:
         raise InvalidInputError(f"n_starts must be an integer in [1, {MAX_STARTS}], got {n_starts!r}")
@@ -395,8 +422,9 @@ def multi_start_solve(
     representatives: list[SolveResult] = []
     for res in found:
         pos = res.position.as_array()
+        radius = CLUSTER_RADIUS_M * max(1.0, float(np.linalg.norm(pos)) / 1e3)
         if all(
-            float(np.linalg.norm(pos - rep.position.as_array())) > CLUSTER_RADIUS_M
+            float(np.linalg.norm(pos - rep.position.as_array())) > radius
             for rep in representatives
         ):
             representatives.append(res)

@@ -105,12 +105,29 @@ def random_instance(
             return constellation, Point3.from_array(user)
 
 
+def closed_form_ground(s, a: float) -> np.ndarray:
+    """The user position on the ground layout from its delays, in closed form.
+
+    Baseline i lies on axis i with endpoints at +-a and a midpoint source,
+    so delay s_i puts the user on the hyperboloid sheet
+    ``x_i**2 / al_i**2 - sum_{j != i} x_j**2 / (a**2 - al_i**2) = 1`` with
+    ``al_i = s_i / 2``. The three equations are linear in the squared
+    coordinates, and coordinate i has the sign of ``-s_i``. Every s_i must
+    be nonzero.
+    """
+    s = np.asarray(s, dtype=float)
+    alpha2 = (0.5 * s) ** 2
+    m = np.repeat(-1.0 / (a * a - alpha2)[:, None], 3, axis=1)
+    m[np.diag_indices(3)] = 1.0 / alpha2
+    return -np.sign(s) * np.sqrt(np.linalg.solve(m, np.ones(3)))
+
+
 def reference_multi_start(constellation, delays, region, n_starts, seed):
     """``multi_start_solve`` as one ``solve_position`` call per start.
 
     The reference for the lockstep search: the same R3 starts, failed
     starts dropped, then the same sort by (residual norm, distance to the
-    region centre) and greedy clustering.
+    region centre) and greedy clustering with the same range-scaled radius.
     """
     found = []
     for start in _r3_starts(region, n_starts, seed):
@@ -128,8 +145,9 @@ def reference_multi_start(constellation, delays, region, n_starts, seed):
     representatives = []
     for res in found:
         pos = res.position.as_array()
+        radius = CLUSTER_RADIUS_M * max(1.0, float(np.linalg.norm(pos)) / 1e3)
         if all(
-            float(np.linalg.norm(pos - rep.position.as_array())) > CLUSTER_RADIUS_M
+            float(np.linalg.norm(pos - rep.position.as_array())) > radius
             for rep in representatives
         ):
             representatives.append(res)

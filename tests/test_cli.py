@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import qps
-from qps import Point3, TerrestrialConfig, build_terrestrial, forward_delays, point_error
+from qps import (
+    LeoConfig,
+    Point3,
+    TerrestrialConfig,
+    build_leo,
+    build_terrestrial,
+    forward_delays,
+    point_error,
+)
 from qps.cli import main
 from qps.solver import MAX_STARTS
 
@@ -157,6 +165,18 @@ class TestSolveCommand:
         assert json.loads(proc.stdout)
 
     def test_stalled_start_is_a_json_error(self, capsys):
+        s = forward_delays(build_leo(LeoConfig(7.36e6, 2e4)), Point3(4164009.10, 4367049.02, 2066106.26))
+        code, _, err = run(
+            capsys,
+            ["solve", "--preset", "leo", "--a", "7.36e6", "--b", "2e4",
+             "--s=" + ",".join(map(repr, s.tolist())), "--guess=-4475260.50,-4704237.52,-2587125.53"],
+        )
+        assert code == 1
+        data = json.loads(err)
+        assert data["error"] == "NotConvergedError"
+        assert "stalled" in data["message"]
+
+    def test_divergent_start_is_a_json_error(self, capsys):
         s = forward_delays(build_terrestrial(TerrestrialConfig(2.0)), Point3(15, 32, -28))
         code, _, err = run(
             capsys,
@@ -166,7 +186,21 @@ class TestSolveCommand:
         assert code == 1
         data = json.loads(err)
         assert data["error"] == "NotConvergedError"
-        assert "stalled" in data["message"]
+        assert "bound" in data["message"]
+
+    def test_ground_search_has_one_candidate(self, capsys):
+        # All three delays equal: the user is on the (1, 1, 1) diagonal, 100 m
+        # out. Without the divergence bound ten more "candidates" 3e13 to
+        # 1.2e17 m away were printed.
+        code, out, err = run(
+            capsys,
+            ["solve", "--preset", "terrestrial", "--s=" + ",".join(["-2.3090931771511536"] * 3),
+             "--region=-80,80,-80,80,-80,80", "--starts", "64", "--seed", "0"],
+        )
+        assert code == 0, err
+        (candidate,) = json.loads(out)
+        np.testing.assert_allclose(candidate["position_m"], [U] * 3, rtol=1e-12)
+        assert candidate["residual_norm_m"] == 0.0
 
     def test_requires_guess_or_region(self, capsys):
         code, _, err = run(

@@ -105,6 +105,25 @@ class TestForwardDelays:
         np.testing.assert_allclose(forward_delays(leo, leo_user), expected, atol=5e-8)
 
 
+class TestExtent:
+    def test_ground_layout(self, ground):
+        np.testing.assert_array_equal(ground.centre, [0.0, 0.0, 0.0])
+        assert ground.radius == 2.0
+
+    def test_leo_layout(self, leo):
+        # Mean of the three baseline midpoints; every endpoint lies within
+        # the radius, and the farthest on it.
+        mids = [
+            [(b.endpoint_a.x + b.endpoint_b.x) / 2, (b.endpoint_a.y + b.endpoint_b.y) / 2,
+             (b.endpoint_a.z + b.endpoint_b.z) / 2]
+            for b in leo.baselines
+        ]
+        np.testing.assert_allclose(leo.centre, np.mean(mids, axis=0), rtol=1e-15)
+        ends = [p for b in leo.baselines for p in (b.endpoint_a, b.endpoint_b)]
+        distances = [math.dist((p.x, p.y, p.z), leo.centre) for p in ends]
+        assert max(distances) == pytest.approx(leo.radius, rel=1e-15)
+
+
 class TestBroadcast:
     def test_stack_matches_single_points_exactly(self, ground, leo):
         rng = np.random.default_rng(11)
