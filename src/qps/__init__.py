@@ -37,6 +37,7 @@ from .solver import (
     Region,
     SolveResult,
     multi_start_solve,
+    solve_all,
     solve_position,
 )
 from .gdop import (
@@ -85,6 +86,7 @@ __all__ = [
     "SolveResult",
     "Region",
     "solve_position",
+    "solve_all",
     "multi_start_solve",
     "SEP_COEFFICIENT",
     "ErrorEstimate",

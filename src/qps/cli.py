@@ -36,7 +36,7 @@ from .scenarios import (
     scan_line,
     scan_plane,
 )
-from .solver import DelayTriple, Region, multi_start_solve, solve_position
+from .solver import DelayTriple, Region, solve_all, solve_position
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -135,17 +135,18 @@ def _emit_grid(grid: FieldGrid, output: Path | None, fmt: str) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     constellation = _resolve_constellation(args)
-    if args.guess is None and args.region is None:
-        raise QpsError("solve needs --guess or --region")
     if args.guess is not None:
         result = solve_position(constellation, args.s, args.guess)
         _emit(_dump_json(result.to_json_dict()), args.output)
         return 0
-    lo = Point3(args.region[0], args.region[2], args.region[4])
-    hi = Point3(args.region[1], args.region[3], args.region[5])
-    results = multi_start_solve(
-        constellation, args.s, Region(lo, hi), args.starts, args.seed
-    )
+    results = solve_all(constellation, args.s)
+    if args.region is not None:
+        region = Region(Point3(*args.region[0::2]), Point3(*args.region[1::2]))
+        lo, hi = region.lower.as_array(), region.upper.as_array()
+        results = [
+            r for r in results
+            if (lo <= r.position.as_array()).all() and (r.position.as_array() <= hi).all()
+        ]
     _emit(_dump_json([r.to_json_dict() for r in results]), args.output)
     return 0
 
@@ -233,15 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="invert measured delays for position candidates")
     _add_constellation_flags(p)
     p.add_argument("--s", type=_triple, required=True, help="delays s1,s2,s3 in meters")
-    p.add_argument("--guess", type=_point, default=None, help="single-start initial guess x,y,z")
+    p.add_argument(
+        "--guess", type=_point, default=None,
+        help="initial guess x,y,z; without it every intersection is reported",
+    )
     p.add_argument(
         "--region",
         type=lambda t: _parse_floats(t, 6, "region"),
         default=None,
-        help="multi-start box xmin,xmax,ymin,ymax,zmin,zmax",
+        help="without --guess, keep only the intersections in the box xmin,xmax,ymin,ymax,zmin,zmax",
     )
-    p.add_argument("--starts", type=int, default=64, help="number of multi-start points")
-    p.add_argument("--seed", type=_seed, default=0, help="multi-start sampling seed")
     p.add_argument("--output", type=Path, default=None)
     p.set_defaults(func=_cmd_solve)
 

@@ -6,14 +6,14 @@ intersection of three such sheets. The inversion is a Newton iteration
 with a backtracking line search on the range-difference residuals and the
 analytic Jacobian (difference of unit vectors toward the two endpoints);
 sheet selection is encoded by the sign of each delay, so no case analysis
-is needed.
+is needed. Without a starting point, :func:`solve_all` finds every
+intersection at once as the roots of three quadrics, from one null space
+and one eigenproblem.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     DegenerateDelayError,
     InvalidInputError,
     NotConvergedError,
+    QpsError,
     SingularJacobianError,
 )
 from .geometry import (
@@ -48,10 +49,6 @@ MIN_STEP_SCALE = 2.0**-40
 #: Converged solutions closer than this are considered the same point. Beyond
 #: 1 km from the origin the radius grows as ``|x| / 1 km``, as rounding does.
 CLUSTER_RADIUS_M = 1e-6
-#: Largest start count of one multi-start search.
-MAX_STARTS = 4096
-#: Step of the R3 sequence: inverse powers of the real root of x**4 = x + 1.
-_R3_STEP = 1.2207440846057596 ** -np.arange(1.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned search box for multi-start solving."""
+    """Axis-aligned box, meters."""
 
     lower: Point3
     upper: Point3
@@ -173,7 +170,7 @@ def solve_position(
     s = _validate_delays(constellation, delays)
     x = initial_guess.as_array()
     centre = constellation.centre.tolist()
-    bound = _bound(constellation, x.tolist())
+    bound = DIVERGENCE_FACTOR * max(constellation.radius, math.dist(x.tolist(), centre))
     r = delays_at(constellation, x) - s
     iterations = 0
 
@@ -207,8 +204,10 @@ def solve_position(
         x_new = x + step
         r_new = delays_at(constellation, x_new) - s
         if float(np.linalg.norm(r_new)) > r_norm:
-            x_new, r_new = (a[0] for a in _backtrack(constellation, x[None], r[None], step[None], s))
-        if x_new.tobytes() == x.tobytes():  # _unmoved, for one row
+            x_new, r_new = _backtrack(constellation, x, r, step, s)
+        # The iteration depends on the iterate alone, so an unmoved point
+        # would repeat the same step until the budget ran out.
+        if x_new.tobytes() == x.tobytes():
             raise NotConvergedError(
                 f"step stalled at residual norm {r_norm:.3e} m at {x.tolist()}"
             )
@@ -221,27 +220,6 @@ def solve_position(
     )
 
 
-def _bound(constellation: Constellation, start: list[float]) -> float:
-    """Distance from the constellation centre beyond which an iterate from
-    ``start`` counts as divergent."""
-    distance = math.dist(start, constellation.centre.tolist())
-    return DIVERGENCE_FACTOR * max(constellation.radius, distance)
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``v``, bit-identical to ``np.linalg.norm(row)``."""
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
-def _unmoved(x_new: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows where the accepted point equals the current one bit for bit.
-
-    The iteration is a deterministic function of the iterate alone, so
-    such a start would repeat the same step until the budget ran out.
-    """
-    return (x_new.view(np.int64) == x.view(np.int64)).all(axis=-1)
-
-
 def _backtrack(
     constellation: Constellation,
     x: np.ndarray,
@@ -249,26 +227,23 @@ def _backtrack(
     step: np.ndarray,
     s: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backtracking line search, row-wise over ``(n, 3)`` iterates.
+    """Backtracking line search along the Newton ``step`` from ``x``.
 
-    For each row, scale its Newton ``step`` by 1/2, 1/4, ... down to
-    ``MIN_STEP_SCALE`` until the residual norm does not increase. The
-    Newton direction descends on ``||f||**2`` wherever the Jacobian is
-    nonsingular. A row that no scale helps keeps its current point and
-    residual.
+    Scale the step by 1/2, 1/4, ... down to ``MIN_STEP_SCALE`` until the
+    residual norm does not increase, and return that point and its
+    residual. The Newton direction descends on ``||f||**2`` wherever the
+    Jacobian is nonsingular. When no scale helps, ``x`` and ``r`` come
+    back unchanged.
     """
-    r_norm = _norms(r)
-    x_new, r_new = x.copy(), r.copy()
-    todo = np.arange(len(x))
+    r_norm = float(np.linalg.norm(r))
     t = 0.5
-    while t >= MIN_STEP_SCALE and todo.size:
-        x_try = x[todo] + t * step[todo]
+    while t >= MIN_STEP_SCALE:
+        x_try = x + t * step
         r_try = delays_at(constellation, x_try) - s
-        ok = _norms(r_try) <= r_norm[todo]
-        x_new[todo[ok]], r_new[todo[ok]] = x_try[ok], r_try[ok]
-        todo = todo[~ok]
+        if float(np.linalg.norm(r_try)) <= r_norm:
+            return x_try, r_try
         t *= 0.5
-    return x_new, r_new
+    return x, r
 
 
 def _polish(
@@ -306,119 +281,113 @@ def _result(
     )
 
 
-def _r3_starts(region: Region, n_starts: int, seed: int) -> np.ndarray:
-    """The first ``n_starts`` points of the seeded, shifted R3 sequence over ``region``."""
-    shift = np.random.default_rng(seed).random(3)
-    unit = (shift + np.arange(1, n_starts + 1)[:, None] * _R3_STEP) % 1.0
-    lower, upper = region.lower.as_array(), region.upper.as_array()
-    return lower + unit * (upper - lower)
+#: Exponents of the 35 monomials of degree <= 4 in (x, y, z), ordered by
+#: degree: 1, x, y, z, x**2, x*y, ... The first 10 have degree <= 2 and the
+#: first 20 degree <= 3.
+_MONOMIALS = [
+    (i, j, n - i - j) for n in range(5) for i in range(n, -1, -1) for j in range(n - i, -1, -1)
+]
+_COLUMN = {e: k for k, e in enumerate(_MONOMIALS)}
+#: Exponents of the entries of ``h = (1, x, y, z)``. A quadric is ``h' Q h``,
+#: one term per entry ``Q[j, k]``, ``j <= k``, of weight 1 on the diagonal
+#: and 2 off it.
+_H = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+_PAIRS = np.triu_indices(4)
+_PAIR_WEIGHT = np.where(_PAIRS[0] == _PAIRS[1], 1.0, 2.0)
 
 
-def _jacobians(constellation: Constellation, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked :func:`jacobian_at` of ``(n, 3)`` iterates, and a mask of the
-    rows on a baseline endpoint, whose matrices are NaN."""
-    try:
-        return jacobian_at(constellation, x), np.zeros(len(x), dtype=bool)
-    except InvalidInputError:
-        pass
-    jac = np.full((len(x), 3, 3), np.nan)
-    for i, row in enumerate(x):
-        with contextlib.suppress(InvalidInputError):
-            jac[i] = jacobian_at(constellation, row)
-    return jac, np.isnan(jac[:, 0, 0])
+def _column(*factors: tuple[int, int, int]) -> int:
+    """Column of the product of the monomials with these exponents."""
+    return _COLUMN[tuple(map(sum, zip(*factors)))]
 
 
-def _solve_starts(
-    constellation: Constellation, s: np.ndarray, starts: np.ndarray
-) -> list[SolveResult | None]:
-    """Run :func:`solve_position` from every row of ``starts`` at once.
-
-    The live starts advance in lockstep as one ``(n, 3)`` array, so the
-    residuals, Jacobians, condition numbers, Newton steps and line search
-    of an iteration are one numpy call each. Every row follows
-    solve_position's rules with the same floating-point operations, and
-    leaves the array where solve_position would return or raise: it leaves
-    its divergence bound, converges, its Jacobian is singular or
-    undefined, it stalls, or the budget runs out. One result per start,
-    ``None`` where the start fails; a converged one is the exact result of
-    solve_position from that start.
-    """
-    found: list[SolveResult | None] = [None] * len(starts)
-    centre = constellation.centre.tolist()
-    bound = np.array([_bound(constellation, start) for start in starts.tolist()])
-    x = starts
-    r = delays_at(constellation, x) - s
-    rows = np.arange(len(x))
-    for iterations in range(MAX_ITERATIONS):
-        # math.dist row by row, as solve_position measures it.
-        inside = np.array([math.dist(p, centre) for p in x.tolist()]) <= bound[rows]
-        x, r, rows = x[inside], r[inside], rows[inside]
-        r_norm = _norms(r)
-        done = r_norm < RESIDUAL_TOL * (1.0 + _norms(x))
-        for i in np.flatnonzero(done):
-            found[rows[i]] = _result(constellation, *_polish(constellation, x[i], r[i], s), iterations)
-        x, r, r_norm, rows = (a[~done] for a in (x, r, r_norm, rows))
-
-        jac, on_endpoint = _jacobians(constellation, x)
-        regular = ~on_endpoint
-        regular[regular] = condition_number(jac[regular]) <= CONDITION_LIMIT
-        x, r, r_norm, rows, jac = (a[regular] for a in (x, r, r_norm, rows, jac))
-
-        step = np.linalg.solve(jac, -r[..., None])[..., 0]
-        done = _norms(step) < STEP_TOL_M
-        for i in np.flatnonzero(done):
-            found[rows[i]] = _result(constellation, x[i], r[i], iterations)
-        x, r, r_norm, rows, step = (a[~done] for a in (x, r, r_norm, rows, step))
-
-        x_new = x + step
-        r_new = delays_at(constellation, x_new) - s
-        worse = _norms(r_new) > r_norm
-        if worse.any():
-            x_new[worse], r_new[worse] = _backtrack(constellation, x[worse], r[worse], step[worse], s)
-        moved = ~_unmoved(x_new, x)
-        x, r, rows = x_new[moved], r_new[moved], rows[moved]
-        if not rows.size:
-            break
-    return found
+#: Row m of a quadric's block of the Macaulay matrix: the columns of
+#: ``h_j h_k`` times the m-th monomial of degree <= 2.
+_MACAULAY_COLUMNS = np.array(
+    [[_column(m, _H[j], _H[k]) for j, k in zip(*_PAIRS)] for m in _MONOMIALS[:10]]
+)
+#: Multiplication of the monomials of degree <= 3 by the fixed linear form
+#: 0.3 x + 0.5 y + 0.7 z, whose values separate the roots.
+_SHIFT = np.zeros((20, 35))
+_SHIFT[np.arange(20)[:, None], [[_column(m, e) for e in _H[1:]] for m in _MONOMIALS[:20]]] = (
+    0.3, 0.5, 0.7
+)
+#: Three quadrics with no common point at infinity meet in 8 points (Bezout).
+_N_ROOTS = 8
+#: Singular values of the Macaulay matrix below this fraction of the largest
+#: count as zero.
+_RANK_TOL = 1e-10
 
 
-def multi_start_solve(
-    constellation: Constellation,
-    delays: DelayTriple,
-    region: Region,
-    n_starts: int,
-    seed: int,
-) -> list[SolveResult]:
-    """Solve from quasi-random starts and return the distinct solutions.
+def solve_all(constellation: Constellation, delays: DelayTriple) -> list[SolveResult]:
+    """Every real intersection of the three hyperboloid sheets.
 
-    Three hyperboloids can intersect in more than one point; this runs
-    :func:`solve_position`'s iteration from the first ``n_starts`` points
-    of the R3 sequence (Roberts' additive recurrence) over the region,
-    shifted by a random offset drawn from ``seed``, advancing all starts
-    together as one array. Converged results are sorted by
-    residual norm, then by distance to the region center, and a result
+    Squared twice, ``|x - A_i| - |x - B_i| = d_i`` (``d_i`` the delay minus
+    the baseline's source path offset) becomes the quadric ``(l_i -
+    d_i**2)**2 = 4 d_i**2 |x - B_i|**2``, with ``l_i = |x - A_i|**2 - |x -
+    B_i|**2`` linear in ``x``; it holds both sheets. In coordinates centred
+    on the constellation centre and scaled by its radius, the quadrics
+    times the 10 monomials of degree <= 2 form a 30 x 35 Macaulay matrix.
+    Its null space holds the monomial vectors of the 8 roots, which a shift
+    by a fixed linear form turns into the eigenvectors of an 8 x 8 matrix
+    (Moller & Stetter, Numer. Math. 70, 1995).
+
+    Roots that are not finite and real (imaginary part above 1e-3 of their
+    scaled size) or lie on a mirror sheet (a residual above ``|d_i|`` plus
+    1e-4 radius) are dropped, and :func:`solve_position` polishes each of
+    the rest; a root whose polish fails is dropped. The results are sorted
+    by distance from the constellation centre, nearest first, and one
     within ``CLUSTER_RADIUS_M * max(1, |x| / 1 km)`` of an earlier one is
-    dropped. Starts that fail to converge are dropped too; the list is
-    empty when none converge. ``n_starts`` must be an integer in
-    [1, ``MAX_STARTS``] and ``seed`` a non-negative integer, else
-    ``InvalidInputError``.
+    dropped. The list is empty when the sheets do not meet.
+
+    Raises:
+        DegenerateDelayError: A delay is incompatible with its baseline.
+        QpsError: The null space does not have dimension 8: the solutions
+            include a curve or a point at infinity, to working precision.
     """
-    if not isinstance(n_starts, numbers.Integral) or not 1 <= n_starts <= MAX_STARTS:
-        raise InvalidInputError(f"n_starts must be an integer in [1, {MAX_STARTS}], got {n_starts!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     s = _validate_delays(constellation, delays)
+    centre, scale = constellation.centre, constellation.radius
+    a = (constellation.endpoints_a - centre) / scale
+    b = (constellation.endpoints_b - centre) / scale
+    reduced = s - constellation.source_path_offsets
+    d = reduced / scale
 
-    starts = _r3_starts(region, n_starts, seed)
-    found = [res for res in _solve_starts(constellation, s, starts) if res is not None]
+    # l_i - d_i**2 and |x - B_i|**2 over h = (1, x, y, z).
+    linear = np.column_stack((np.sum(a * a, axis=1) - np.sum(b * b, axis=1) - d * d, -2.0 * (a - b)))
+    to_b = np.zeros((3, 4, 4))
+    to_b[:, 0, 0] = np.sum(b * b, axis=1)
+    to_b[:, 0, 1:] = to_b[:, 1:, 0] = -b
+    to_b[:, 1:, 1:] = np.eye(3)
+    quadrics = linear[:, :, None] * linear[:, None, :] - 4.0 * (d * d)[:, None, None] * to_b
+    coefficients = quadrics[:, _PAIRS[0], _PAIRS[1]] * _PAIR_WEIGHT
+    coefficients /= np.linalg.norm(coefficients, axis=1, keepdims=True)
+    macaulay = np.zeros((3, 10, 35))
+    macaulay[:, np.arange(10)[:, None], _MACAULAY_COLUMNS] = coefficients[:, None, :]
 
-    center = region.center.as_array()
-    found.sort(
-        key=lambda res: (
-            res.residual_norm,
-            float(np.linalg.norm(res.position.as_array() - center)),
+    _, svals, vt = np.linalg.svd(macaulay.reshape(30, 35))
+    rank = int(np.count_nonzero(svals > _RANK_TOL * svals[0]))
+    if 35 - rank != _N_ROOTS:
+        raise QpsError(
+            f"the delay equations' null space has dimension {35 - rank}, not {_N_ROOTS}: "
+            "their solutions include a curve or a point at infinity"
         )
-    )
+    null = vt[rank:].T
+    shift = np.linalg.lstsq(null[:20], _SHIFT @ null, rcond=None)[0]
+    monomials = null @ np.linalg.eig(shift)[1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        roots = (monomials[1:4] / monomials[0]).T
+    size = np.maximum(1.0, np.abs(roots).max(axis=1))
+    keep = np.isfinite(roots).all(axis=1) & (np.abs(roots.imag).max(axis=1) <= 1e-3 * size)
+    points = centre + scale * roots[keep].real
+    sheet = np.abs(delays_at(constellation, points) - s) <= np.abs(reduced) + 1e-4 * scale
+
+    found = []
+    for point in points[sheet.all(axis=1)]:
+        try:
+            found.append(solve_position(constellation, delays, Point3.from_array(point)))
+        except (SingularJacobianError, NotConvergedError):
+            continue
+    found.sort(key=lambda res: float(np.linalg.norm(res.position.as_array() - centre)))
     representatives: list[SolveResult] = []
     for res in found:
         pos = res.position.as_array()
@@ -429,3 +398,20 @@ def multi_start_solve(
         ):
             representatives.append(res)
     return representatives
+
+
+def multi_start_solve(
+    constellation: Constellation,
+    delays: DelayTriple,
+    region: Region,
+    n_starts: int,
+    seed: int,
+) -> list[SolveResult]:
+    """Alias of :func:`solve_all`; ``region``, ``n_starts`` and ``seed`` are
+    ignored.
+
+    Its only caller is the ``acquisition`` workload of ``perfbench``, which
+    passes them positionally. It goes when that workload calls
+    :func:`solve_all`.
+    """
+    return solve_all(constellation, delays)

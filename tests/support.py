@@ -4,15 +4,7 @@ import math
 
 import numpy as np
 
-from qps import (
-    Baseline,
-    Constellation,
-    NotConvergedError,
-    Point3,
-    SingularJacobianError,
-    solve_position,
-)
-from qps.solver import CLUSTER_RADIUS_M, _r3_starts
+from qps import Baseline, Constellation, Point3
 
 
 def naive_delay(baseline: Baseline, user: Point3) -> float:
@@ -57,6 +49,18 @@ def translate_constellation(constellation: Constellation, shift: np.ndarray) -> 
         tuple(
             Baseline(tp(b.endpoint_a), tp(b.endpoint_b), tp(b.source))
             for b in constellation.baselines
+        )
+    )
+
+
+def line_constellation() -> Constellation:
+    """Baselines on the x axis, the y axis and the (1, 1, 0) diagonal: with
+    zero delays the three sheets are planes through the z axis."""
+    return Constellation(
+        (
+            Baseline.with_midpoint_source(Point3(1, 0, 0), Point3(-1, 0, 0)),
+            Baseline.with_midpoint_source(Point3(0, 1, 0), Point3(0, -1, 0)),
+            Baseline.with_midpoint_source(Point3(1, 1, 0), Point3(-1, -1, 0)),
         )
     )
 
@@ -121,34 +125,3 @@ def closed_form_ground(s, a: float) -> np.ndarray:
     m[np.diag_indices(3)] = 1.0 / alpha2
     return -np.sign(s) * np.sqrt(np.linalg.solve(m, np.ones(3)))
 
-
-def reference_multi_start(constellation, delays, region, n_starts, seed):
-    """``multi_start_solve`` as one ``solve_position`` call per start.
-
-    The reference for the lockstep search: the same R3 starts, failed
-    starts dropped, then the same sort by (residual norm, distance to the
-    region centre) and greedy clustering with the same range-scaled radius.
-    """
-    found = []
-    for start in _r3_starts(region, n_starts, seed):
-        try:
-            found.append(solve_position(constellation, delays, Point3.from_array(start)))
-        except (SingularJacobianError, NotConvergedError):
-            continue
-    center = region.center.as_array()
-    found.sort(
-        key=lambda res: (
-            res.residual_norm,
-            float(np.linalg.norm(res.position.as_array() - center)),
-        )
-    )
-    representatives = []
-    for res in found:
-        pos = res.position.as_array()
-        radius = CLUSTER_RADIUS_M * max(1.0, float(np.linalg.norm(pos)) / 1e3)
-        if all(
-            float(np.linalg.norm(pos - rep.position.as_array())) > radius
-            for rep in representatives
-        ):
-            representatives.append(res)
-    return representatives

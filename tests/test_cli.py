@@ -20,7 +20,8 @@ from qps import (
     point_error,
 )
 from qps.cli import main
-from qps.solver import MAX_STARTS
+
+from .support import line_constellation
 
 U = 100.0 / math.sqrt(3.0)
 
@@ -124,41 +125,27 @@ class TestSolveCommand:
         assert data["converged"] is True
 
     def test_multi_start_region(self, capsys):
-        code, out, _ = run(
-            capsys,
-            [
-                "solve",
-                "--preset",
-                "terrestrial",
-                "--a",
-                "2",
-                "--s",
-                "0,0,0",
-                "--region=-5,5,-5,5,-5,5",
-                "--starts",
-                "16",
-                "--seed",
-                "7",
-            ],
-        )
+        # --region keeps the candidates inside the box.
+        argv = ["solve", "--preset", "terrestrial", "--a", "2", "--s", "0,0,0"]
+        code, out, _ = run(capsys, argv + ["--region=-5,5,-5,5,-5,5"])
         assert code == 0
         data = json.loads(out)
         assert isinstance(data, list) and data
         assert np.linalg.norm(data[0]["position_m"]) < 1e-6
+        code, out, _ = run(capsys, argv + ["--region=1,5,-5,5,-5,5"])
+        assert code == 0
+        assert json.loads(out) == []
 
     def test_start_count_over_limit(self, capsys):
-        code, _, err = run(
-            capsys,
-            ["solve", "--preset", "terrestrial", "--s", "0,0,0", "--region=-5,5,-5,5,-5,5",
-             "--starts", str(MAX_STARTS + 1)],
-        )
-        assert code == 1
-        assert json.loads(err)["error"] == "InvalidInputError"
+        # The search has no starts, so --starts and --seed are usage errors.
+        for flags in (["--starts", "4097"], ["--starts", "64"], ["--seed", "0"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["solve", "--preset", "terrestrial", "--s", "0,0,0", *flags])
+            assert excinfo.value.code == 2
 
-    def test_any_start_count_keeps_stderr_clean(self):
+    def test_search_keeps_stderr_clean(self):
         proc = run_fresh(
             "-m", "qps", "solve", "--preset", "terrestrial", "--s=-2.3,-2.3,-2.3",
-            "--region=-80,80,-80,80,-80,80", "--starts", "10", "--seed", "0",
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
@@ -190,24 +177,25 @@ class TestSolveCommand:
 
     def test_ground_search_has_one_candidate(self, capsys):
         # All three delays equal: the user is on the (1, 1, 1) diagonal, 100 m
-        # out. Without the divergence bound ten more "candidates" 3e13 to
-        # 1.2e17 m away were printed.
+        # out, and the ground layout's sheets meet nowhere else.
         code, out, err = run(
             capsys,
-            ["solve", "--preset", "terrestrial", "--s=" + ",".join(["-2.3090931771511536"] * 3),
-             "--region=-80,80,-80,80,-80,80", "--starts", "64", "--seed", "0"],
+            ["solve", "--preset", "terrestrial", "--s=" + ",".join(["-2.3090931771511536"] * 3)],
         )
         assert code == 0, err
         (candidate,) = json.loads(out)
         np.testing.assert_allclose(candidate["position_m"], [U] * 3, rtol=1e-12)
         assert candidate["residual_norm_m"] == 0.0
 
-    def test_requires_guess_or_region(self, capsys):
-        code, _, err = run(
-            capsys, ["solve", "--preset", "terrestrial", "--s", "0,0,0"]
-        )
+    def test_degenerate_layout_is_a_json_error(self, capsys, tmp_path):
+        # With zero delays every point of the z axis solves this layout.
+        path = tmp_path / "line.json"
+        line_constellation().save_json(path)
+        code, _, err = run(capsys, ["solve", "--constellation", str(path), "--s", "0,0,0"])
         assert code == 1
-        assert json.loads(err)["error"] == "QpsError"
+        data = json.loads(err)
+        assert data["error"] == "QpsError"
+        assert "dimension 13" in data["message"]
 
     def test_degenerate_delay_error_is_machine_readable(self, capsys):
         code, _, err = run(
@@ -456,8 +444,6 @@ class TestUsageErrors:
             ["dip-scan", "--grid=-0.0009,0.0009,41.9", "--seed", "1"],
             # A seed must be a non-negative integer.
             ["dip-scan", "--grid=-0.0009,0.0009,41", "--seed", "-1"],
-            ["solve", "--preset", "terrestrial", "--s=-2.3,-2.3,-2.3",
-             "--region=-80,80,-80,80,-80,80", "--starts", "8", "--seed", "-1"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
@@ -482,13 +468,12 @@ class TestUsageErrors:
 
 class TestImport:
     def test_cli_import_does_not_load_scipy_stats(self):
-        # numpy is the only third-party dependency, also for the multi-start search.
+        # numpy is the only third-party dependency, also for the search.
         proc = run_fresh(
             "-c",
             "import sys, qps, qps.cli\n"
             "c = qps.build_terrestrial(qps.TerrestrialConfig(2.0))\n"
-            "region = qps.Region(qps.Point3(-5, -5, -5), qps.Point3(5, 5, 5))\n"
-            "qps.multi_start_solve(c, qps.DelayTriple(0, 0, 0), region, 4, 0)\n"
+            "qps.solve_all(c, qps.DelayTriple(0, 0, 0))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         )
         assert proc.returncode == 0, proc.stderr

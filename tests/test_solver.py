@@ -14,22 +14,24 @@ from qps import (
     InvalidInputError,
     NotConvergedError,
     Point3,
+    QpsError,
     Region,
     SingularJacobianError,
     forward_delays,
     forward_jacobian,
     multi_start_solve,
+    solve_all,
     solve_position,
 )
 from qps.geometry import delays_at, jacobian_at
-from qps.solver import MAX_ITERATIONS, MAX_STARTS, _backtrack, _r3_starts, _solve_starts
+from qps.solver import MAX_ITERATIONS, _backtrack
 
 from .support import (
     closed_form_ground,
     condition,
+    line_constellation,
     naive_delays,
     random_instance,
-    reference_multi_start,
 )
 
 
@@ -179,17 +181,19 @@ class TestSolvePosition:
         assert calls < 10
 
     def test_backtracking_rows(self, ground, ground_user):
-        # Row 0 overshoots the user threefold, so the half step is the first
-        # that lowers the residual. Row 1 points away from the user, so no
-        # scale helps and the row keeps its point and residual.
+        # The first step overshoots the user threefold, so the half step is
+        # the first that lowers the residual. The second points away from the
+        # user, so no scale helps and the point and residual come back as
+        # they were.
         s = triple_from(ground, ground_user).as_array()
         d = np.array([0.3, -0.2, 0.1])
-        x = ground_user.as_array() + np.array([d, d])
+        x = ground_user.as_array() + d
         r = delays_at(ground, x) - s
-        step = np.array([-3.0 * d, d])
-        x_new, r_new = _backtrack(ground, x, r, step, s)
-        np.testing.assert_array_equal(x_new, [x[0] + 0.5 * step[0], x[1]])
-        np.testing.assert_array_equal(r_new, [delays_at(ground, x_new[0]) - s, r[1]])
+        x_new, r_new = _backtrack(ground, x, r, -3.0 * d, s)
+        np.testing.assert_array_equal(x_new, x - 1.5 * d)
+        np.testing.assert_array_equal(r_new, delays_at(ground, x_new) - s)
+        x_new, r_new = _backtrack(ground, x, r, d, s)
+        assert x_new is x and r_new is r
 
     def test_round_trip_random_instances(self):
         rng = np.random.default_rng(2024)
@@ -229,10 +233,10 @@ def planar_constellation() -> Constellation:
 
 
 class TestMultiStart:
+    """Searches without a starting point, through :func:`solve_all`."""
+
     def test_contains_true_user(self, ground, ground_user):
-        delays = triple_from(ground, ground_user)
-        region = Region(Point3(10, 10, 10), Point3(120, 120, 120))
-        results = multi_start_solve(ground, delays, region, n_starts=32, seed=1)
+        results = solve_all(ground, triple_from(ground, ground_user))
         assert results
         best = results[0].position.as_array()
         assert np.linalg.norm(best - ground_user.as_array()) <= 1e-6
@@ -246,8 +250,7 @@ class TestMultiStart:
         np.testing.assert_allclose(
             forward_delays(constellation, twin), delays.as_array(), atol=1e-12
         )
-        region = Region(Point3(-3, -3, -4), Point3(5, 5, 4))
-        results = multi_start_solve(constellation, delays, region, n_starts=128, seed=3)
+        results = solve_all(constellation, delays)
         assert len(results) >= 2
         positions = np.array([r.position.as_array() for r in results])
         assert min(np.linalg.norm(positions - user.as_array(), axis=1)) <= 1e-6
@@ -255,95 +258,40 @@ class TestMultiStart:
 
     def test_single_start_matches_solve_position(self, ground, ground_user):
         delays = triple_from(ground, ground_user)
-        region = Region(Point3(40, 40, 40), Point3(80, 80, 80))
-        results = multi_start_solve(ground, delays, region, n_starts=1, seed=9)
-        assert len(results) == 1
+        (result,) = solve_all(ground, delays)
         direct = solve_position(ground, delays, ground_user)
         np.testing.assert_allclose(
-            results[0].position.as_array(), direct.position.as_array(), atol=1e-9
+            result.position.as_array(), direct.position.as_array(), atol=1e-9
         )
 
-    def test_cluster_merging(self, ground, ground_user):
-        delays = triple_from(ground, ground_user)
-        region = Region(Point3(40, 40, 40), Point3(80, 80, 80))
-        results = multi_start_solve(ground, delays, region, n_starts=64, seed=5)
-        assert len(results) == 1
-
-    def test_invalid_start_count(self, ground, ground_user):
-        delays = triple_from(ground, ground_user)
-        region = Region(Point3(0, 0, 0), Point3(1, 1, 1))
-        # 2.5 must not be rounded to a start count.
-        for n_starts in (0, -1, 2.5, MAX_STARTS + 1):
-            with pytest.raises(InvalidInputError):
-                multi_start_solve(ground, delays, region, n_starts=n_starts, seed=0)
-
-    def test_invalid_seed(self, ground, ground_user):
-        delays = triple_from(ground, ground_user)
-        region = Region(Point3(0, 0, 0), Point3(1, 1, 1))
-        for seed in (-1, 1.5):
-            with pytest.raises(InvalidInputError):
-                multi_start_solve(ground, delays, region, n_starts=4, seed=seed)
+    def test_cluster_merging(self, ground):
+        # Zero delays: all eight roots of the quadrics sit at the origin.
+        (result,) = solve_all(ground, DelayTriple(0.0, 0.0, 0.0))
+        assert np.linalg.norm(result.position.as_array()) <= 1e-9
 
     def test_degenerate_delays_rejected_up_front(self, ground):
-        region = Region(Point3(0, 0, 0), Point3(1, 1, 1))
         with pytest.raises(DegenerateDelayError):
-            multi_start_solve(ground, DelayTriple(5.0, 0.0, 0.0), region, n_starts=4, seed=0)
+            solve_all(ground, DelayTriple(5.0, 0.0, 0.0))
 
+    def test_missed_by_sixty_four_starts(self, leo):
+        # The user is one of four real intersections. A 64-start search with
+        # this seed over this box found only the other three.
+        user = np.array([6001961.2473346805, 1899660.6178994568, -1023051.6713708002])
+        delays = DelayTriple(14902.554943223018, -14677.669682278298, 10659.009086422622)
+        results = multi_start_solve(leo, delays, cube(8e6), 64, 624796484)
+        assert results == solve_all(leo, delays)
+        assert len(results) == 4
+        positions = np.array([r.position.as_array() for r in results])
+        assert min(np.linalg.norm(positions - user, axis=1)) <= 1e-6 * np.linalg.norm(user)
+        for position in positions:
+            direct = naive_delays(leo, Point3.from_array(position)) - delays.as_array()
+            assert np.all(np.abs(direct) <= 1e-12 * (1.0 + np.linalg.norm(position)))
 
-def solve_or_none(constellation, delays, start):
-    try:
-        return solve_position(constellation, delays, Point3.from_array(start))
-    except (SingularJacobianError, NotConvergedError):
-        return None
-
-
-def assert_matches_reference(constellation, delays, region, n_starts, seed):
-    got = multi_start_solve(constellation, delays, region, n_starts, seed)
-    assert got == reference_multi_start(constellation, delays, region, n_starts, seed)
-
-
-class TestLockstep:
-    """The lockstep search against one solve_position call per start."""
-
-    def test_mirror_layout(self):
-        constellation = planar_constellation()
-        delays = triple_from(constellation, Point3(0.5, 0.8, 1.7))
-        assert_matches_reference(
-            constellation, delays, Region(Point3(-3, -3, -4), Point3(5, 5, 4)), 128, 3
-        )
-
-    def test_random_instances(self):
-        rng = np.random.default_rng(7)
-        for seed in range(40):
-            constellation, user = random_instance(rng)
-            u = user.as_array()
-            region = Region(Point3.from_array(u - 15.0), Point3.from_array(u + 15.0))
-            assert_matches_reference(constellation, triple_from(constellation, user), region, 16, seed)
-
-    def test_single_start(self, ground):
-        # Converging and divergent starts alike.
-        delays = triple_from(ground, Point3(15, 32, -28))
-        region = cube(80.0)
-        outcomes = set()
-        for seed in range(12):
-            start = _r3_starts(region, 1, seed)[0]
-            expected = solve_or_none(ground, delays, start)
-            outcomes.add(expected is None)
-            assert multi_start_solve(ground, delays, region, 1, seed) == (
-                [] if expected is None else [expected]
-            )
-        assert outcomes == {True, False}
-
-    def test_failed_rows_leave_others_alone(self, ground, ground_user):
-        # An endpoint start and a symmetry-axis start fail as singular
-        # without aborting the rows that converge.
-        delays = triple_from(ground, ground_user)
-        starts = np.array(
-            [[2.0, 0.0, 0.0], [0.0, 0.0, 100.0], [50.0, 50.0, 50.0], [-40.0, -40.0, -40.0], [40.0, 60.0, 45.0]]
-        )
-        got = _solve_starts(ground, delays.as_array(), starts)
-        assert got == [solve_or_none(ground, delays, start) for start in starts]
-        assert got[0] is None and got[1] is None and got[2] is not None
+    def test_solution_line_is_an_error(self):
+        # Every point of the z axis solves these delays, so the roots are not
+        # isolated and the null space is larger than 8.
+        with pytest.raises(QpsError, match="dimension 13"):
+            solve_all(line_constellation(), DelayTriple(0.0, 0.0, 0.0))
 
 
 def cube(half: float) -> Region:
@@ -357,9 +305,9 @@ def draw_until(accept, draw) -> np.ndarray:
 
 
 class TestSearch:
-    """Cold searches as in the benchmark's acquisition workload: one ground
-    user in each octant of the +-80 m box with 16 starts, and an antipodal
-    pair on the Earth's surface with 64 starts over +-8e6 m."""
+    """Cold searches for the users of the benchmark's acquisition workload:
+    one ground user in each octant of the +-80 m box, and an antipodal pair
+    on the Earth's surface."""
 
     @pytest.fixture(scope="class")
     def searches(self, ground, leo):
@@ -375,14 +323,14 @@ class TestSearch:
                 lambda u: condition(ground, u) <= 1e3,
                 lambda: np.array(signs) * rng.uniform(0.0, 80.0, 3),
             )
-            cases.append((ground, user, 80.0, 16))
+            cases.append((ground, user))
         u = draw_until(lambda u: max(condition(leo, u), condition(leo, -u)) <= 1e3, on_earth)
-        cases += [(leo, u, 8e6, 64), (leo, -u, 8e6, 64)]
+        cases += [(leo, u), (leo, -u)]
         out = []
-        for seed, (constellation, user, half, starts) in enumerate(cases):
+        for constellation, user in cases:
             delays = DelayTriple.from_array(naive_delays(constellation, Point3.from_array(user)))
-            args = (constellation, delays, cube(half), starts, seed)
-            out.append((user, args, multi_start_solve(*args)))
+            args = (constellation, delays)
+            out.append((user, args, solve_all(*args)))
         return out
 
     def test_true_user_found(self, searches):
@@ -391,19 +339,27 @@ class TestSearch:
             distances = [np.linalg.norm(r.position.as_array() - user) for r in results]
             assert distances and min(distances) <= tol, (user, distances)
 
-    def test_matches_reference_loop(self, searches):
-        for _, args, results in searches:
-            assert results == reference_multi_start(*args)
+    def test_candidates_satisfy_equations(self, searches):
+        # Every candidate, not only the user, against the direct distances.
+        for _, (constellation, delays), results in searches:
+            for r in results:
+                direct = naive_delays(constellation, r.position) - delays.as_array()
+                assert np.all(np.abs(direct) <= 1e-12 * (1.0 + r.position.norm())), (r, direct)
 
     def test_ground_searches_find_one_candidate(self, searches, ground):
-        for _, (constellation, *_), results in searches:
+        for _, (constellation, _), results in searches:
             if constellation is ground:
                 assert len(results) == 1
 
-    def test_same_seed_same_candidates(self, searches):
+    def test_candidates_sorted_by_distance_from_centre(self, searches):
+        for _, (constellation, _), results in searches:
+            distances = [np.linalg.norm(r.position.as_array() - constellation.centre) for r in results]
+            assert distances == sorted(distances)
+
+    def test_repeat_gives_same_candidates(self, searches):
         # One ground and one satellite search, repeated.
         for _, args, results in (searches[0], searches[-1]):
-            assert multi_start_solve(*args) == results
+            assert solve_all(*args) == results
 
 
 class TestGroundClosedForm:
@@ -421,10 +377,10 @@ class TestGroundClosedForm:
         # The ground layout's three sheets meet in exactly one point, so any
         # second candidate would be spurious.
         rng = np.random.default_rng(12)
-        for seed in range(48):
+        for _ in range(48):
             user = rng.uniform(1.0, 80.0, 3) * rng.choice((-1.0, 1.0), 3)
             s = naive_delays(ground, Point3.from_array(user))
-            results = multi_start_solve(ground, DelayTriple.from_array(s), cube(80.0), 16, seed)
+            results = solve_all(ground, DelayTriple.from_array(s))
             assert len(results) == 1, (user, [r.position for r in results])
             err = np.linalg.norm(results[0].position.as_array() - closed_form_ground(s, 2.0))
             assert err <= 1e-8 * np.linalg.norm(user), (user, err)
@@ -433,12 +389,12 @@ class TestGroundClosedForm:
 class TestClusterRadius:
     def test_far_root_reported_once(self, leo):
         # A satellite-layout search with a genuine second root at 8.14e8 m.
-        # Starts converge to it with a spread of 1.3e-6 to 2.5e-4 m, which is
+        # Solves converge to it with a spread of 1.3e-6 to 2.5e-4 m, which is
         # rounding at that range; an absolute 1e-6 m radius reported it 19
-        # times.
+        # times from 64 starts.
         delays = DelayTriple(-9129.809515275992, -3681.9029072746634, -3861.2586644571275)
         user = np.array([2237501.7950346284, -3591873.393014133, 4771888.016893728])
-        results = multi_start_solve(leo, delays, cube(8e6), 64, 1848188247)
+        results = solve_all(leo, delays)
         ranges = [r.position.norm() for r in results]
         assert sum(8.1e8 < d < 8.2e8 for d in ranges) == 1, ranges
         assert min(np.linalg.norm(r.position.as_array() - user) for r in results) <= 1e-6 * np.linalg.norm(user)
