@@ -240,17 +240,52 @@ def delays_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
     |xyz-B|)`` with m the endpoint midpoint, which is algebraically
     identical but avoids the catastrophic cancellation of subtracting two
     nearly equal distances; far-field positioning accuracy depends on this.
+    It shares the leg evaluation of :func:`jacobian_at`, so a caller that
+    needs both, like the solver, evaluates each point once.
     """
+    return _delays(constellation, xyz, *_legs(constellation, xyz)[2:])
+
+
+def _legs(constellation: Constellation, xyz: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Vectors from each baseline's endpoints A and B to ``xyz`` and their
+    lengths, computed as ``np.linalg.norm(v, axis=-1)`` computes them."""
+    p = xyz[..., None, :]
+    d_a = p - constellation.endpoints_a
+    d_b = p - constellation.endpoints_b
+    n_a = np.sqrt(np.add.reduce(d_a * d_a, axis=-1))
+    n_b = np.sqrt(np.add.reduce(d_b * d_b, axis=-1))
+    return d_a, d_b, n_a, n_b
+
+
+def _delays(
+    constellation: Constellation, xyz: np.ndarray, n_a: np.ndarray, n_b: np.ndarray
+) -> np.ndarray:
     if not np.all(np.isfinite(xyz)):
         raise InvalidInputError(f"position must be finite, got {xyz!r}")
-    p = xyz[..., None, :]
-    d_a = np.linalg.norm(p - constellation.endpoints_a, axis=-1)
-    d_b = np.linalg.norm(p - constellation.endpoints_b, axis=-1)
-    denom = d_a + d_b
+    denom = n_a + n_b
     if np.any(denom == 0.0):
         raise InvalidInputError("position coincides with both endpoints of a baseline")
+    p = xyz[..., None, :]
     num = -2.0 * np.einsum("...ij,ij->...i", p - constellation.midpoints, constellation.axes)
     return num / denom + constellation.source_path_offsets
+
+
+def _jacobian(
+    d_a: np.ndarray, d_b: np.ndarray, n_a: np.ndarray, n_b: np.ndarray
+) -> np.ndarray | None:
+    """None where a position sits on an endpoint."""
+    if np.any(n_a == 0.0) or np.any(n_b == 0.0):
+        return None
+    return d_a / n_a[..., None] - d_b / n_b[..., None]
+
+
+def _evaluate(
+    constellation: Constellation, xyz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`delays_at` and :func:`jacobian_at` from one leg evaluation,
+    bit for bit; the Jacobian is None where :func:`jacobian_at` raises."""
+    legs = _legs(constellation, xyz)
+    return _delays(constellation, xyz, *legs[2:]), _jacobian(*legs)
 
 
 def forward_jacobian(constellation: Constellation, user: Point3) -> np.ndarray:
@@ -267,20 +302,17 @@ def jacobian_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
     Row i is ``unit(xyz - A_i) - unit(xyz - B_i)``: the rate of change of
     baseline i's balancing delay per unit displacement. ``xyz`` has shape
     ``(..., 3)`` and the result ``(..., 3, 3)``, each position's matrix
-    bit-identical to evaluating it alone.
+    bit-identical to evaluating it alone. It shares the leg evaluation of
+    :func:`delays_at` and computes no delays.
 
     Raises:
         InvalidInputError: A position coincides with a baseline endpoint,
             where the gradient is undefined.
     """
-    p = xyz[..., None, :]
-    d_a = p - constellation.endpoints_a
-    d_b = p - constellation.endpoints_b
-    n_a = np.linalg.norm(d_a, axis=-1)
-    n_b = np.linalg.norm(d_b, axis=-1)
-    if np.any(n_a == 0.0) or np.any(n_b == 0.0):
+    jac = _jacobian(*_legs(constellation, xyz))
+    if jac is None:
         raise InvalidInputError("position coincides with a baseline endpoint")
-    return d_a / n_a[..., None] - d_b / n_b[..., None]
+    return jac
 
 
 def condition_number(jacobian: np.ndarray) -> float | np.ndarray:

@@ -208,7 +208,11 @@ def estimate_balance(
     against the scan, with per-point weights from Poisson counting
     statistics (counts floored at one). The center uncertainty is read
     off the parameter covariance of the weighted fit; it is the
-    delay-measurement error that drives position error downstream.
+    delay-measurement error that drives position error downstream. Each
+    trial point is evaluated once, for its chi-squared, weighted residuals
+    and weighted Jacobian together; the accepted point carries them into
+    the next step, and the covariance reuses the Jacobian of the point
+    returned.
 
     Args:
         scan: The measured (or simulated) scan.
@@ -251,26 +255,23 @@ def estimate_balance(
     def unpack(th: np.ndarray) -> tuple[float, float, float]:
         return float(th[0]), float(th[1]), (float(th[2]) if fit_bandwidth else dw0)
 
-    def model(th: np.ndarray) -> np.ndarray:
+    def evaluate(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Chi-squared, weighted residuals and weighted Jacobian at ``th``."""
         plateau, center, dw = unpack(th)
-        q = dw * (offsets - center) / SPEED_OF_LIGHT
-        return plateau * (-np.expm1(-(q * q)))
-
-    def weighted_jacobian(th: np.ndarray) -> np.ndarray:
-        plateau, center, dw = unpack(th)
-        q = dw * (offsets - center) / SPEED_OF_LIGHT
-        e = np.exp(-(q * q))
-        cols = [1.0 - e, -plateau * e * 2.0 * q * dw / SPEED_OF_LIGHT]
+        shift = offsets - center
+        q = dw * shift / SPEED_OF_LIGHT
+        neg_q2 = -(q * q)
+        e = np.exp(neg_q2)
+        residuals = weights * (plateau * (-np.expm1(neg_q2)) - rates)
+        jac = np.empty((offsets.size, th.size))
+        np.multiply(weights, 1.0 - e, out=jac[:, 0])
+        np.multiply(weights, -plateau * e * 2.0 * q * dw / SPEED_OF_LIGHT, out=jac[:, 1])
         if fit_bandwidth:
-            cols.append(plateau * e * 2.0 * q * (offsets - center) / SPEED_OF_LIGHT)
-        return weights[:, None] * np.column_stack(cols)
+            np.multiply(weights, plateau * e * 2.0 * q * shift / SPEED_OF_LIGHT, out=jac[:, 2])
+        return float((residuals**2).sum()), residuals, jac
 
-    def chi2(th: np.ndarray) -> float:
-        return float(np.sum((weights * (model(th) - rates)) ** 2))
-
-    def finish(theta: np.ndarray, iteration: int) -> BalanceEstimate:
+    def finish(theta: np.ndarray, jac: np.ndarray, iteration: int) -> BalanceEstimate:
         plateau, center, dw = unpack(theta)
-        jac = weighted_jacobian(theta)
         covariance = np.linalg.inv(jac.T @ jac)
         return BalanceEstimate(
             offset_m=center,
@@ -280,12 +281,11 @@ def estimate_balance(
             iterations=iteration,
         )
 
-    f_cur = chi2(theta)
+    f_cur, res_cur, jac_cur = evaluate(theta)
     tiny = np.finfo(float).tiny
     for iteration in range(1, MAX_FIT_ITERATIONS + 1):
-        jac = weighted_jacobian(theta)
-        grad = jac.T @ (weights * (model(theta) - rates))
-        jtj = jac.T @ jac
+        grad = jac_cur.T @ res_cur
+        jtj = jac_cur.T @ jac_cur
         lam = 0.0
         while True:
             damp = jtj + lam * np.diag(np.diag(jtj)) if lam else jtj
@@ -297,16 +297,18 @@ def estimate_balance(
                     raise FitDivergedError("normal equations singular at every damping level")
                 continue
             trial = theta + step
-            f_trial = chi2(trial)
+            f_trial, res_trial, jac_trial = evaluate(trial)
             # Parameter-step convergence: once no component can move by
             # more than the relative threshold, the fit is done whether or
             # not the (ulp-level) residual change is an improvement.
-            if float(np.max(np.abs(step) / (np.abs(theta) + tiny))) < FIT_STEP_RTOL:
-                return finish(trial if f_trial <= f_cur else theta, iteration)
+            if float((np.abs(step) / (np.abs(theta) + tiny)).max()) < FIT_STEP_RTOL:
+                if f_trial <= f_cur:
+                    return finish(trial, jac_trial, iteration)
+                return finish(theta, jac_cur, iteration)
             if f_trial <= f_cur:
                 break
             lam = max(10.0 * lam, 1e-4)
             if lam > 1e14:
                 raise FitDivergedError("no damping level reduced the fit residual")
-        theta, f_cur = trial, f_trial
+        theta, f_cur, res_cur, jac_cur = trial, f_trial, res_trial, jac_trial
     raise FitDivergedError(f"dip fit did not converge in {MAX_FIT_ITERATIONS} iterations")

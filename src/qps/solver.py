@@ -29,9 +29,9 @@ from .geometry import (
     CONDITION_LIMIT,
     Constellation,
     Point3,
+    _evaluate,
     condition_number,
     delays_at,
-    jacobian_at,
     json_float,
 )
 
@@ -149,7 +149,9 @@ def solve_position(
     which costs a couple of extra function evaluations and buys the last
     digits of position accuracy. An iterate farther from the constellation
     centre than ``DIVERGENCE_FACTOR * max(radius, |guess - centre|)`` is
-    abandoned before the residual test.
+    abandoned before the residual test. Each point is evaluated once: its
+    residual and Jacobian come from one leg evaluation and travel with the
+    iterate through the step, the line search, the polish and the result.
 
     Args:
         constellation: Baseline geometry.
@@ -171,7 +173,7 @@ def solve_position(
     x = initial_guess.as_array()
     centre = constellation.centre.tolist()
     bound = DIVERGENCE_FACTOR * max(constellation.radius, math.dist(x.tolist(), centre))
-    r = delays_at(constellation, x) - s
+    r, jac = _residual(constellation, x, s)
     iterations = 0
 
     for _ in range(MAX_ITERATIONS):
@@ -180,17 +182,12 @@ def solve_position(
                 f"iterate left the bound of {bound:.3e} m around the constellation "
                 f"centre at {x.tolist()}"
             )
-        r_norm = float(np.linalg.norm(r))
-        if r_norm < RESIDUAL_TOL * (1.0 + float(np.linalg.norm(x))):
-            x, r = _polish(constellation, x, r, s)
-            return _result(constellation, x, r, iterations)
+        r_norm = _norm(r)
+        if r_norm < RESIDUAL_TOL * (1.0 + _norm(x)):
+            return _result(*_polish(constellation, x, r, jac, s), iterations)
 
-        try:
-            jac = jacobian_at(constellation, x)
-        except InvalidInputError as exc:
-            raise SingularJacobianError(
-                f"iterate coincides with a baseline endpoint at {x.tolist()}"
-            ) from exc
+        if jac is None:
+            raise SingularJacobianError(f"iterate coincides with a baseline endpoint at {x.tolist()}")
         cond = condition_number(jac)
         if cond > CONDITION_LIMIT:
             raise SingularJacobianError(
@@ -198,86 +195,102 @@ def solve_position(
             )
 
         step = np.linalg.solve(jac, -r)
-        if float(np.linalg.norm(step)) < STEP_TOL_M:
-            return _result(constellation, x, r, iterations)
+        if _norm(step) < STEP_TOL_M:
+            return _result(x, r, jac, iterations)
 
         x_new = x + step
-        r_new = delays_at(constellation, x_new) - s
-        if float(np.linalg.norm(r_new)) > r_norm:
-            x_new, r_new = _backtrack(constellation, x, r, step, s)
+        r_new, jac_new = _residual(constellation, x_new, s)
+        if _norm(r_new) > r_norm:
+            x_new, r_new, jac_new = _backtrack(constellation, x, r, jac, step, s)
         # The iteration depends on the iterate alone, so an unmoved point
         # would repeat the same step until the budget ran out.
         if x_new.tobytes() == x.tobytes():
             raise NotConvergedError(
                 f"step stalled at residual norm {r_norm:.3e} m at {x.tolist()}"
             )
-        x, r = x_new, r_new
+        x, r, jac = x_new, r_new, jac_new
         iterations += 1
 
     raise NotConvergedError(
         f"no convergence in {MAX_ITERATIONS} iterations; last residual norm "
-        f"{float(np.linalg.norm(r)):.3e} m at {x.tolist()}"
+        f"{_norm(r):.3e} m at {x.tolist()}"
     )
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array, bit-identical to ``np.linalg.norm``."""
+    return math.sqrt(v.dot(v))
+
+
+def _residual(
+    constellation: Constellation, x: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Residual of the delay equations at ``x`` and its Jacobian, None on an
+    endpoint."""
+    model, jac = _evaluate(constellation, x)
+    return model - s, jac
 
 
 def _backtrack(
     constellation: Constellation,
     x: np.ndarray,
     r: np.ndarray,
+    jac: np.ndarray,
     step: np.ndarray,
     s: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Backtracking line search along the Newton ``step`` from ``x``.
 
     Scale the step by 1/2, 1/4, ... down to ``MIN_STEP_SCALE`` until the
-    residual norm does not increase, and return that point and its
-    residual. The Newton direction descends on ``||f||**2`` wherever the
-    Jacobian is nonsingular. When no scale helps, ``x`` and ``r`` come
-    back unchanged.
+    residual norm does not increase, and return that point with its
+    residual and Jacobian. The Newton direction descends on ``||f||**2``
+    wherever the Jacobian is nonsingular. When no scale helps, ``x``,
+    ``r`` and ``jac`` come back unchanged.
     """
-    r_norm = float(np.linalg.norm(r))
+    r_norm = _norm(r)
     t = 0.5
     while t >= MIN_STEP_SCALE:
         x_try = x + t * step
-        r_try = delays_at(constellation, x_try) - s
-        if float(np.linalg.norm(r_try)) <= r_norm:
-            return x_try, r_try
+        r_try, jac_try = _residual(constellation, x_try, s)
+        if _norm(r_try) <= r_norm:
+            return x_try, r_try, jac_try
         t *= 0.5
-    return x, r
+    return x, r, jac
 
 
 def _polish(
-    constellation: Constellation, x: np.ndarray, r: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    constellation: Constellation,
+    x: np.ndarray,
+    r: np.ndarray,
+    jac: np.ndarray | None,
+    s: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Extra full Newton steps while they strictly reduce the residual."""
     for _ in range(3):
+        if jac is None:
+            break
         try:
-            jac = jacobian_at(constellation, x)
             step = np.linalg.solve(jac, -r)
-        except (InvalidInputError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             break
         x_new = x + step
-        r_new = delays_at(constellation, x_new) - s
-        if float(np.linalg.norm(r_new)) < float(np.linalg.norm(r)):
-            x, r = x_new, r_new
+        r_new, jac_new = _residual(constellation, x_new, s)
+        if _norm(r_new) < _norm(r):
+            x, r, jac = x_new, r_new, jac_new
         else:
             break
-    return x, r
+    return x, r, jac
 
 
 def _result(
-    constellation: Constellation, x: np.ndarray, r: np.ndarray, iterations: int
+    x: np.ndarray, r: np.ndarray, jac: np.ndarray | None, iterations: int
 ) -> SolveResult:
-    try:
-        cond = condition_number(jacobian_at(constellation, x))
-    except InvalidInputError:
-        cond = math.inf
     return SolveResult(
         position=Point3.from_array(x),
-        residual_norm=float(np.linalg.norm(r)),
+        residual_norm=_norm(r),
         iterations=iterations,
         converged=True,
-        condition_number=cond,
+        condition_number=math.inf if jac is None else condition_number(jac),
     )
 
 
@@ -387,15 +400,12 @@ def solve_all(constellation: Constellation, delays: DelayTriple) -> list[SolveRe
             found.append(solve_position(constellation, delays, Point3.from_array(point)))
         except (SingularJacobianError, NotConvergedError):
             continue
-    found.sort(key=lambda res: float(np.linalg.norm(res.position.as_array() - centre)))
+    found.sort(key=lambda res: _norm(res.position.as_array() - centre))
     representatives: list[SolveResult] = []
     for res in found:
         pos = res.position.as_array()
-        radius = CLUSTER_RADIUS_M * max(1.0, float(np.linalg.norm(pos)) / 1e3)
-        if all(
-            float(np.linalg.norm(pos - rep.position.as_array())) > radius
-            for rep in representatives
-        ):
+        radius = CLUSTER_RADIUS_M * max(1.0, _norm(pos) / 1e3)
+        if all(_norm(pos - rep.position.as_array()) > radius for rep in representatives):
             representatives.append(res)
     return representatives
 

@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 from qps import (
     Baseline,
     Constellation,
+    DelayTriple,
     InvalidInputError,
     Point3,
+    SingularJacobianError,
     forward_delays,
     load_constellation,
+    solve_position,
 )
-from qps.geometry import condition_number, delays_at, jacobian_at
+from qps.geometry import _evaluate, condition_number, delays_at, jacobian_at
 
 from .support import (
     naive_delay,
     naive_delays,
+    random_instance,
     random_rotation,
     rotate_constellation,
     translate_constellation,
@@ -144,6 +148,84 @@ class TestBroadcast:
     def test_endpoint_in_stack_rejected(self, ground):
         with pytest.raises(InvalidInputError):
             jacobian_at(ground, np.array([[1.0, 2.0, 3.0], [2.0, 0.0, 0.0]]))
+
+
+def stacks(ground, leo):
+    """(constellation, positions of shape (4, 5, 3)) on the ground and
+    satellite layouts and on three random layouts around their users."""
+    rng = np.random.default_rng(24)
+    cases = [
+        (constellation, rng.normal(size=(4, 5, 3)) * scale * 10.0 ** rng.uniform(-3, 3, (4, 5, 1)))
+        for constellation, scale in ((ground, 100.0), (leo, 1e7))
+    ]
+    for _ in range(3):
+        constellation, user = random_instance(rng)
+        cases.append((constellation, user.as_array() + rng.normal(size=(4, 5, 3))))
+    return cases
+
+
+class TestFusedEvaluation:
+    """``_evaluate`` gives the delays and the Jacobian from one evaluation
+    of the legs to both endpoints."""
+
+    def test_matches_public_functions_exactly(self, ground, leo):
+        for constellation, xyz in stacks(ground, leo):
+            delays, jac = _evaluate(constellation, xyz)
+            assert delays.tobytes() == delays_at(constellation, xyz).tobytes()
+            assert jac.tobytes() == jacobian_at(constellation, xyz).tobytes()
+
+    def test_stack_matches_single_points_exactly(self, ground, leo):
+        for constellation, xyz in stacks(ground, leo):
+            delays, jac = _evaluate(constellation, xyz)
+            for idx in np.ndindex(4, 5):
+                one_delays, one_jac = _evaluate(constellation, xyz[idx])
+                assert delays[idx].tobytes() == one_delays.tobytes()
+                assert jac[idx].tobytes() == one_jac.tobytes()
+
+    def test_against_distance_oracle_and_central_differences(self, ground, leo):
+        # Direct distance differences lose a few ulps of the longest leg;
+        # central differences with a step of 1e-5 of the nearest endpoint
+        # distance err by about (1e-5)**2 from truncation and eps / 1e-5
+        # from rounding, relative to the unit-vector rows.
+        eps = np.finfo(float).eps
+        for constellation, xyz in stacks(ground, leo):
+            delays, jac = _evaluate(constellation, xyz)
+            for idx in np.ndindex(4, 5):
+                user = Point3.from_array(xyz[idx])
+                legs = np.concatenate(
+                    (
+                        np.linalg.norm(xyz[idx] - constellation.endpoints_a, axis=1),
+                        np.linalg.norm(xyz[idx] - constellation.endpoints_b, axis=1),
+                    )
+                )
+                oracle = naive_delays(constellation, user)
+                assert np.all(np.abs(delays[idx] - oracle) <= 8.0 * eps * legs.max())
+                h = 1e-5 * legs.min()
+                columns = [
+                    (delays_at(constellation, xyz[idx] + h * e) - delays_at(constellation, xyz[idx] - h * e))
+                    / (2.0 * h)
+                    for e in np.eye(3)
+                ]
+                np.testing.assert_allclose(jac[idx], np.column_stack(columns), rtol=0, atol=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_endpoint_gives_no_jacobian(self, ground, ground_user):
+        endpoint = ground.endpoints_b[1]
+        delays, jac = _evaluate(ground, endpoint)
+        assert jac is None
+        assert delays.tobytes() == delays_at(ground, endpoint).tobytes()
+        assert _evaluate(ground, np.array([[1.0, 2.0, 3.0], endpoint]))[1] is None
+        with pytest.raises(InvalidInputError, match="coincides with a baseline endpoint"):
+            jacobian_at(ground, endpoint)
+        triple = DelayTriple.from_array(forward_delays(ground, ground_user))
+        with pytest.raises(SingularJacobianError, match="coincides with a baseline endpoint"):
+            solve_position(ground, triple, Point3.from_array(endpoint))
+
+    @pytest.mark.parametrize("bad", [[1.0, math.nan, 0.0], [math.inf, -math.inf, 0.0]])
+    def test_non_finite_position_rejected(self, ground, bad):
+        for evaluate in (_evaluate, delays_at):
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                evaluate(ground, np.array(bad))
 
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

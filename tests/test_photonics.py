@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from qps import (
     SPEED_OF_LIGHT,
+    BalanceEstimate,
     DipScan,
+    FitDivergedError,
     HomConfig,
     InvalidInputError,
     NoDipFoundError,
@@ -15,6 +17,8 @@ from qps import (
     estimate_balance,
     simulate_dip_scan,
 )
+
+from .support import outcome, reference_estimate_balance
 
 CONFIG = HomConfig(alpha1=0.8, alpha2=0.8, eta_v_sq=15625.0, delta_omega=1e12)
 #: Dip width in offset units, meters.
@@ -207,3 +211,27 @@ class TestEstimateBalance:
         ).sigma_m
         ratio = sigma_1 / sigma_10
         assert math.sqrt(10.0) / 1.5 <= ratio <= math.sqrt(10.0) * 1.5
+
+
+class TestAgainstSeparateEvaluations:
+    """The fit carries each point's residuals and Jacobian with it; its
+    results must equal, bit for bit, those of the loop that evaluates the
+    model, chi-squared and Jacobian in separate passes."""
+
+    def test_seeded_scans_match_reference_loop(self):
+        rng = np.random.default_rng(2404)
+        kinds = set()
+        for seed in range(500):
+            true = float(rng.uniform(-1.0, 1.0)) * WIDTH_M
+            halfwidths = float(rng.uniform(1.5, 6.0))
+            grid = dip_grid(true, halfwidths, (21, 41, 81)[seed % 3])
+            grid += float(rng.uniform(-0.5, 0.5)) * WIDTH_M
+            if seed % 50 == 0:
+                grid += 50.0 * WIDTH_M  # plateau only: no dip to fit
+            t_int = 10.0 ** float(rng.uniform(-3.5, 0.0))  # down to 3 counts a point
+            scan = simulate_dip_scan(CONFIG, true, grid, t_int, seed, noise=seed % 2 == 1)
+            for fit_bandwidth in (True, False):
+                got = outcome(estimate_balance, scan, CONFIG, fit_bandwidth)
+                assert got == outcome(reference_estimate_balance, scan, CONFIG, fit_bandwidth)
+                kinds.add(got[0] if isinstance(got[0], type) else BalanceEstimate)
+        assert kinds == {BalanceEstimate, NoDipFoundError, FitDivergedError}

@@ -23,7 +23,7 @@ from qps import (
     solve_all,
     solve_position,
 )
-from qps.geometry import delays_at, jacobian_at
+from qps.geometry import _evaluate, condition_number, delays_at, jacobian_at
 from qps.solver import MAX_ITERATIONS, _backtrack
 
 from .support import (
@@ -31,7 +31,9 @@ from .support import (
     condition,
     line_constellation,
     naive_delays,
+    outcome,
     random_instance,
+    reference_solve_position,
 )
 
 
@@ -145,23 +147,26 @@ class TestSolvePosition:
         # 11 iterations, so the accepted point equals the current one bit for
         # bit. The iteration depends on the iterate alone, so the start fails
         # at once (225 evaluations) instead of repeating that state, at 41
-        # evaluations an iteration, until the budget of 200 runs out.
+        # evaluations an iteration, until the budget of 200 runs out. Each
+        # Newton step takes the condition number of the Jacobian it solves.
         delays = triple_from(leo, Point3(4164009.10, 4367049.02, 2066106.26))
-        calls = {"delays": 0, "jacobian": 0}
+        calls = {"evaluations": 0, "jacobians": 0}
 
         def counting(name, func):
-            def wrapped(constellation, xyz):
+            def wrapped(*args):
                 calls[name] += 1
-                return func(constellation, xyz)
+                return func(*args)
 
             return wrapped
 
-        monkeypatch.setattr(qps.solver, "delays_at", counting("delays", delays_at))
-        monkeypatch.setattr(qps.solver, "jacobian_at", counting("jacobian", jacobian_at))
+        monkeypatch.setattr(qps.solver, "_evaluate", counting("evaluations", _evaluate))
+        monkeypatch.setattr(
+            qps.solver, "condition_number", counting("jacobians", condition_number)
+        )
         with pytest.raises(NotConvergedError, match="stalled"):
             solve_position(leo, delays, Point3(-4475260.50, -4704237.52, -2587125.53))
-        assert calls["jacobian"] < MAX_ITERATIONS // 10
-        assert calls["delays"] < 2 * MAX_ITERATIONS
+        assert 0 < calls["jacobians"] < MAX_ITERATIONS // 10
+        assert 0 < calls["evaluations"] < 2 * MAX_ITERATIONS
 
     def test_divergent_start_fails_early(self, ground, monkeypatch):
         # From this guess the first Newton step lands beyond 1e3 times the
@@ -173,27 +178,29 @@ class TestSolvePosition:
         def counting(constellation, xyz):
             nonlocal calls
             calls += 1
-            return delays_at(constellation, xyz)
+            return _evaluate(constellation, xyz)
 
-        monkeypatch.setattr(qps.solver, "delays_at", counting)
+        monkeypatch.setattr(qps.solver, "_evaluate", counting)
         with pytest.raises(NotConvergedError, match="bound"):
             solve_position(ground, delays, Point3(-40, -40, -40))
-        assert calls < 10
+        assert 0 < calls < 10
 
     def test_backtracking_rows(self, ground, ground_user):
         # The first step overshoots the user threefold, so the half step is
-        # the first that lowers the residual. The second points away from the
-        # user, so no scale helps and the point and residual come back as
-        # they were.
+        # the first that lowers the residual, and its Jacobian comes with it.
+        # The second points away from the user, so no scale helps and the
+        # point, residual and Jacobian come back as they were.
         s = triple_from(ground, ground_user).as_array()
         d = np.array([0.3, -0.2, 0.1])
         x = ground_user.as_array() + d
         r = delays_at(ground, x) - s
-        x_new, r_new = _backtrack(ground, x, r, -3.0 * d, s)
+        jac = jacobian_at(ground, x)
+        x_new, r_new, jac_new = _backtrack(ground, x, r, jac, -3.0 * d, s)
         np.testing.assert_array_equal(x_new, x - 1.5 * d)
-        np.testing.assert_array_equal(r_new, delays_at(ground, x_new) - s)
-        x_new, r_new = _backtrack(ground, x, r, d, s)
-        assert x_new is x and r_new is r
+        assert r_new.tobytes() == (delays_at(ground, x_new) - s).tobytes()
+        assert jac_new.tobytes() == jacobian_at(ground, x_new).tobytes()
+        x_new, r_new, jac_new = _backtrack(ground, x, r, jac, d, s)
+        assert x_new is x and r_new is r and jac_new is jac
 
     def test_round_trip_random_instances(self):
         rng = np.random.default_rng(2024)
@@ -219,6 +226,41 @@ class TestSolvePosition:
             "condition_number",
         }
         assert data["converged"] is True
+
+
+class TestAgainstSeparateEvaluations:
+    """The solver carries each point's residual and Jacobian with the
+    iterate; its results and errors must equal, bit for bit, those of the
+    loop that evaluates them separately through ``delays_at`` and
+    ``jacobian_at``."""
+
+    def test_random_users_match_reference_loop(self):
+        rng = np.random.default_rng(2403)
+        kinds = set()
+        for _ in range(300):
+            constellation, user = random_instance(rng)
+            delays = triple_from(constellation, user)
+            direction = rng.normal(size=3)
+            near = user.as_array() + 0.01 * user.norm() * direction / np.linalg.norm(direction)
+            cold = rng.uniform(-40.0, 40.0, 3)
+            for guess in (near, cold):
+                args = (constellation, delays, Point3.from_array(guess))
+                got = outcome(solve_position, *args)
+                assert got == outcome(reference_solve_position, *args)
+                kinds.add(got[0] if isinstance(got[0], type) else qps.SolveResult)
+        assert kinds == {qps.SolveResult, NotConvergedError}
+
+    @pytest.mark.parametrize(
+        "user, guess",
+        [
+            ((3e4, -2e4, 1e4), (3.1e4, -2.1e4, 1.05e4)),  # far field
+            ((15, 32, -28), (2.0, 0.0, 0.0)),  # guess on an endpoint
+            ((15, 32, -28), (0.0, 0.0, 100.0)),  # singular guess on the z axis
+        ],
+    )
+    def test_ground_cases_match_reference_loop(self, ground, user, guess):
+        args = (ground, triple_from(ground, Point3(*user)), Point3(*guess))
+        assert outcome(solve_position, *args) == outcome(reference_solve_position, *args)
 
 
 def planar_constellation() -> Constellation:
