@@ -91,7 +91,7 @@ def point_error(
         sig = np.full(3, float(sig))
     if sig.shape != (3,):
         raise InvalidInputError(f"sigma_s must be a scalar or length-3, got shape {sig.shape}")
-    if not np.all(np.isfinite(sig)) or np.any(sig < 0.0):
+    if not np.isfinite(sig).all() or (sig < 0.0).any():
         raise InvalidInputError("sigma_s must be finite and >= 0")
 
     try:

@@ -128,17 +128,23 @@ class Constellation:
             raise InvalidInputError(f"a constellation needs exactly 3 baselines, got {len(baselines)}")
         object.__setattr__(self, "baselines", baselines)
 
-    # Endpoint coordinates stacked as (3, 3) arrays, one row per baseline.
-    # Cached because the solver and field scans evaluate the forward model
-    # many times against a fixed constellation.
+    # Endpoint coordinates, one row per endpoint. Cached because the solver
+    # and field scans evaluate the forward model many times against a fixed
+    # constellation; endpoints_a and endpoints_b are (3, 3) views of it.
+
+    @cached_property
+    def endpoints(self) -> np.ndarray:
+        """The six endpoints, shape ``(6, 3)``: the A rows, then the B rows."""
+        ends = [b.endpoint_a for b in self.baselines] + [b.endpoint_b for b in self.baselines]
+        return np.array([p.as_array() for p in ends])
 
     @cached_property
     def endpoints_a(self) -> np.ndarray:
-        return np.array([b.endpoint_a.as_array() for b in self.baselines])
+        return self.endpoints[:3]
 
     @cached_property
     def endpoints_b(self) -> np.ndarray:
-        return np.array([b.endpoint_b.as_array() for b in self.baselines])
+        return self.endpoints[3:]
 
     @cached_property
     def midpoints(self) -> np.ndarray:
@@ -152,8 +158,7 @@ class Constellation:
     @cached_property
     def radius(self) -> float:
         """Distance from :attr:`centre` to the farthest baseline endpoint."""
-        ends = np.concatenate((self.endpoints_a, self.endpoints_b))
-        return float(np.linalg.norm(ends - self.centre, axis=1).max())
+        return float(np.linalg.norm(self.endpoints - self.centre, axis=1).max())
 
     @cached_property
     def axes(self) -> np.ndarray:
@@ -240,43 +245,42 @@ def delays_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
     |xyz-B|)`` with m the endpoint midpoint, which is algebraically
     identical but avoids the catastrophic cancellation of subtracting two
     nearly equal distances; far-field positioning accuracy depends on this.
-    It shares the leg evaluation of :func:`jacobian_at`, so a caller that
+    It shares the leg evaluation of :func:`jacobian_at` (one pass over the
+    six endpoints of :attr:`Constellation.endpoints`), so a caller that
     needs both, like the solver, evaluates each point once.
+
+    Raises:
+        InvalidInputError: A position is not finite, or sits on both
+            endpoints of a baseline at once.
     """
-    return _delays(constellation, xyz, *_legs(constellation, xyz)[2:])
+    return _delays(constellation, xyz, _legs(constellation, xyz)[1])
 
 
-def _legs(constellation: Constellation, xyz: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Vectors from each baseline's endpoints A and B to ``xyz`` and their
-    lengths, computed as ``np.linalg.norm(v, axis=-1)`` computes them."""
-    p = xyz[..., None, :]
-    d_a = p - constellation.endpoints_a
-    d_b = p - constellation.endpoints_b
-    n_a = np.sqrt(np.add.reduce(d_a * d_a, axis=-1))
-    n_b = np.sqrt(np.add.reduce(d_b * d_b, axis=-1))
-    return d_a, d_b, n_a, n_b
-
-
-def _delays(
-    constellation: Constellation, xyz: np.ndarray, n_a: np.ndarray, n_b: np.ndarray
-) -> np.ndarray:
-    if not np.all(np.isfinite(xyz)):
+def _legs(constellation: Constellation, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors from the six endpoints (:attr:`Constellation.endpoints`) to
+    ``xyz``, shape ``(..., 6, 3)``, and their lengths, computed as
+    ``np.linalg.norm(v, axis=-1)`` computes them."""
+    if not np.isfinite(xyz).all():
         raise InvalidInputError(f"position must be finite, got {xyz!r}")
-    denom = n_a + n_b
-    if np.any(denom == 0.0):
+    d = xyz[..., None, :] - constellation.endpoints
+    return d, np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
+def _delays(constellation: Constellation, xyz: np.ndarray, n: np.ndarray) -> np.ndarray:
+    denom = n[..., :3] + n[..., 3:]
+    if (denom == 0.0).any():
         raise InvalidInputError("position coincides with both endpoints of a baseline")
     p = xyz[..., None, :]
     num = -2.0 * np.einsum("...ij,ij->...i", p - constellation.midpoints, constellation.axes)
     return num / denom + constellation.source_path_offsets
 
 
-def _jacobian(
-    d_a: np.ndarray, d_b: np.ndarray, n_a: np.ndarray, n_b: np.ndarray
-) -> np.ndarray | None:
+def _jacobian(d: np.ndarray, n: np.ndarray) -> np.ndarray | None:
     """None where a position sits on an endpoint."""
-    if np.any(n_a == 0.0) or np.any(n_b == 0.0):
+    if not n.all():
         return None
-    return d_a / n_a[..., None] - d_b / n_b[..., None]
+    unit = d / n[..., None]
+    return unit[..., :3, :] - unit[..., 3:, :]
 
 
 def _evaluate(
@@ -284,8 +288,8 @@ def _evaluate(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`delays_at` and :func:`jacobian_at` from one leg evaluation,
     bit for bit; the Jacobian is None where :func:`jacobian_at` raises."""
-    legs = _legs(constellation, xyz)
-    return _delays(constellation, xyz, *legs[2:]), _jacobian(*legs)
+    d, n = _legs(constellation, xyz)
+    return _delays(constellation, xyz, n), _jacobian(d, n)
 
 
 def forward_jacobian(constellation: Constellation, user: Point3) -> np.ndarray:
@@ -306,8 +310,9 @@ def jacobian_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
     :func:`delays_at` and computes no delays.
 
     Raises:
-        InvalidInputError: A position coincides with a baseline endpoint,
-            where the gradient is undefined.
+        InvalidInputError: A position is not finite, as in
+            :func:`delays_at`, or coincides with a baseline endpoint, where
+            the gradient is undefined.
     """
     jac = _jacobian(*_legs(constellation, xyz))
     if jac is None:

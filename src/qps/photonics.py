@@ -77,7 +77,7 @@ def coincidence_rate(config: HomConfig, imbalance: float | np.ndarray) -> float 
     """
     scalar = np.isscalar(imbalance)
     dt = np.asarray(imbalance, dtype=float)
-    if not np.all(np.isfinite(dt)):
+    if not np.isfinite(dt).all():
         raise InvalidInputError("imbalance must be finite")
     q = config.delta_omega * dt
     rate = config.plateau_rate * (-np.expm1(-(q * q)))
@@ -105,13 +105,13 @@ class DipScan:
         rates = np.asarray(self.rates_hz, dtype=float)
         if offsets.ndim != 1 or offsets.size == 0:
             raise InvalidInputError("offsets must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(offsets)) or not np.all(np.isfinite(rates)):
+        if not np.isfinite(offsets).all() or not np.isfinite(rates).all():
             raise InvalidInputError("scan values must be finite")
-        if np.any(np.diff(offsets) <= 0.0):
+        if (np.diff(offsets) <= 0.0).any():
             raise InvalidInputError("offsets must be strictly increasing")
         if rates.shape != offsets.shape:
             raise InvalidInputError("offsets and rates must have equal length")
-        if np.any(rates < 0.0):
+        if (rates < 0.0).any():
             raise InvalidInputError("rates must be nonnegative")
         if not (math.isfinite(self.integration_time_s) and self.integration_time_s > 0.0):
             raise InvalidInputError("integration time must be > 0")
@@ -162,7 +162,7 @@ def simulate_dip_scan(
     offsets = np.asarray(grid, dtype=float)
     if offsets.ndim != 1 or offsets.size == 0:
         raise InvalidInputError("grid must be a nonempty 1-D sequence")
-    if np.any(np.diff(offsets) <= 0.0):
+    if (np.diff(offsets) <= 0.0).any():
         raise InvalidInputError("grid offsets must be strictly increasing")
     if not (math.isfinite(integration_time) and integration_time > 0.0):
         raise InvalidInputError("integration time must be > 0")
@@ -223,12 +223,19 @@ def estimate_balance(
             center instead of trusting the configured value.
 
     Raises:
+        InvalidInputError: The scan has fewer points than the fit has
+            parameters (3, or 2 with ``fit_bandwidth`` False).
         NoDipFoundError: The scan minimum is not significantly below the
             scan plateau, so there is no dip to fit.
         FitDivergedError: The fit did not converge in the iteration
-            budget.
+            budget, or it converged where the normal matrix is singular
+            or gives the center no positive finite variance, so there is
+            no uncertainty to report.
     """
     offsets = scan.offsets_m
+    n_params = 3 if fit_bandwidth else 2
+    if offsets.size < n_params:
+        raise InvalidInputError(f"a scan of {offsets.size} points cannot fit {n_params} parameters")
     rates = scan.rates_hz
     t_int = scan.integration_time_s
     counts = rates * t_int
@@ -264,18 +271,27 @@ def estimate_balance(
         e = np.exp(neg_q2)
         residuals = weights * (plateau * (-np.expm1(neg_q2)) - rates)
         jac = np.empty((offsets.size, th.size))
+        slope = plateau * e * 2.0 * q
         np.multiply(weights, 1.0 - e, out=jac[:, 0])
-        np.multiply(weights, -plateau * e * 2.0 * q * dw / SPEED_OF_LIGHT, out=jac[:, 1])
+        np.multiply(weights, -slope * dw / SPEED_OF_LIGHT, out=jac[:, 1])
         if fit_bandwidth:
-            np.multiply(weights, plateau * e * 2.0 * q * shift / SPEED_OF_LIGHT, out=jac[:, 2])
+            np.multiply(weights, slope * shift / SPEED_OF_LIGHT, out=jac[:, 2])
         return float((residuals**2).sum()), residuals, jac
 
     def finish(theta: np.ndarray, jac: np.ndarray, iteration: int) -> BalanceEstimate:
         plateau, center, dw = unpack(theta)
-        covariance = np.linalg.inv(jac.T @ jac)
+        try:
+            covariance = np.linalg.inv(jac.T @ jac)
+        except np.linalg.LinAlgError:
+            raise FitDivergedError("normal equations singular at the fitted point") from None
+        variance = float(covariance[1, 1])
+        if not 0.0 < variance < math.inf:
+            raise FitDivergedError(
+                f"center variance {variance!r} at the fitted point is not positive and finite"
+            )
         return BalanceEstimate(
             offset_m=center,
-            sigma_m=float(math.sqrt(covariance[1, 1])),
+            sigma_m=math.sqrt(variance),
             plateau_hz=plateau,
             delta_omega=dw,
             iterations=iteration,

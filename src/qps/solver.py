@@ -126,7 +126,7 @@ def _validate_delays(constellation: Constellation, delays: DelayTriple) -> np.nd
     s = delays.as_array()
     reduced = np.abs(s - constellation.source_path_offsets)
     bad = reduced >= constellation.lengths
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateDelayError(
             f"delay s{i + 1}={s[i]!r} m is inconsistent with baseline length "

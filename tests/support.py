@@ -151,6 +151,39 @@ def closed_form_ground(s, a: float) -> np.ndarray:
 
 
 
+def reference_legs(constellation: Constellation, xyz: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Test-only copy of the forward model's legs as two arrays: the vectors
+    from the A endpoints and from the B endpoints to ``xyz`` and their
+    lengths."""
+    p = xyz[..., None, :]
+    d_a = p - constellation.endpoints_a
+    d_b = p - constellation.endpoints_b
+    n_a = np.sqrt(np.add.reduce(d_a * d_a, axis=-1))
+    n_b = np.sqrt(np.add.reduce(d_b * d_b, axis=-1))
+    return d_a, d_b, n_a, n_b
+
+
+def reference_delays_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
+    """``delays_at`` over :func:`reference_legs`."""
+    _, _, n_a, n_b = reference_legs(constellation, xyz)
+    if not np.all(np.isfinite(xyz)):
+        raise InvalidInputError(f"position must be finite, got {xyz!r}")
+    denom = n_a + n_b
+    if np.any(denom == 0.0):
+        raise InvalidInputError("position coincides with both endpoints of a baseline")
+    p = xyz[..., None, :]
+    num = -2.0 * np.einsum("...ij,ij->...i", p - constellation.midpoints, constellation.axes)
+    return num / denom + constellation.source_path_offsets
+
+
+def reference_jacobian_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
+    """``jacobian_at`` over :func:`reference_legs`, for finite ``xyz``."""
+    d_a, d_b, n_a, n_b = reference_legs(constellation, xyz)
+    if np.any(n_a == 0.0) or np.any(n_b == 0.0):
+        raise InvalidInputError("position coincides with a baseline endpoint")
+    return d_a / n_a[..., None] - d_b / n_b[..., None]
+
+
 def reference_solve_position(
     constellation: Constellation, delays: DelayTriple, initial_guess: Point3
 ) -> SolveResult:
@@ -311,12 +344,15 @@ def reference_estimate_balance(
 
 
 def outcome(call, *args, **kwargs):
-    """What a call gives, comparable bit for bit: the bytes of each float
-    field of a result, or the exception's type and message."""
+    """What a call gives, comparable bit for bit: the shape and bytes of an
+    array, the bytes of each float field of a result, or the exception's
+    type and message."""
     try:
         value = call(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
     if isinstance(value, SolveResult):
         value = (*value.position.as_array(), value.residual_norm, value.iterations,
                  value.converged, value.condition_number)

@@ -284,6 +284,37 @@ class TestDipScanCommand:
         assert code == 1
         assert json.loads(err)["error"] == "NoDipFoundError"
 
+    @pytest.mark.parametrize(
+        "grid, seed",
+        [
+            ("-0.0023506754830643728,0.00018226098898877066,2", "0"),
+            ("-0.0001498418726252951,0.0005086056556068771,2", "28"),
+        ],
+    )
+    def test_too_short_scan_error(self, capsys, grid, seed):
+        code, out, err = run(
+            capsys, ["dip-scan", f"--grid={grid}", "--integration-time", "0.004", "--seed", seed]
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "InvalidInputError",
+            "message": "a scan of 2 points cannot fit 3 parameters",
+        }
+
+    def test_degenerate_fit_error(self, capsys):
+        code, _, err = run(
+            capsys,
+            [
+                "dip-scan",
+                "--grid=-0.00010765114447853821,0.002258588467658301,2",
+                "--integration-time", "0.04191114123015526",
+                "--seed", "1681",
+                "--fix-bandwidth",
+            ],
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "FitDivergedError"
+
 
 class TestGridCommands:
     def test_field_csv(self, capsys, tmp_path):

@@ -22,8 +22,11 @@ from qps.geometry import _evaluate, condition_number, delays_at, jacobian_at
 from .support import (
     naive_delay,
     naive_delays,
+    outcome,
     random_instance,
     random_rotation,
+    reference_delays_at,
+    reference_jacobian_at,
     rotate_constellation,
     translate_constellation,
 )
@@ -223,9 +226,66 @@ class TestFusedEvaluation:
 
     @pytest.mark.parametrize("bad", [[1.0, math.nan, 0.0], [math.inf, -math.inf, 0.0]])
     def test_non_finite_position_rejected(self, ground, bad):
-        for evaluate in (_evaluate, delays_at):
-            with pytest.raises(InvalidInputError, match="must be finite"):
-                evaluate(ground, np.array(bad))
+        for xyz in (np.array(bad), np.array([[1.0, 2.0, 3.0], bad])):
+            for evaluate in (_evaluate, delays_at, jacobian_at):
+                with pytest.raises(InvalidInputError, match="must be finite"):
+                    evaluate(ground, xyz)
+
+
+class TestAgainstTwoArrayLegs:
+    """The legs to all six endpoints come from one ``(..., 6, 3)`` array;
+    delays, Jacobians and errors must equal, bit for bit, those of the legs
+    to the A and to the B endpoints as two arrays."""
+
+    @staticmethod
+    def cases(ground, leo):
+        """(constellation, (N, 3) positions ending in the six endpoints)."""
+        rng = np.random.default_rng(25)
+        layouts = [(ground, np.zeros(3), 100.0), (leo, np.zeros(3), 1e7)]
+        for _ in range(3):
+            constellation, user = random_instance(rng)
+            layouts.append((constellation, user.as_array(), 1.0))
+        for constellation, centre, scale in layouts:
+            xyz = centre + rng.normal(size=(30, 3)) * scale * 10.0 ** rng.uniform(-3, 3, (30, 1))
+            yield constellation, np.vstack((xyz, constellation.endpoints_a, constellation.endpoints_b))
+
+    @staticmethod
+    def assert_same(constellation, xyz):
+        delays = outcome(delays_at, constellation, xyz)
+        jac = outcome(jacobian_at, constellation, xyz)
+        assert delays == outcome(reference_delays_at, constellation, xyz)
+        assert jac == outcome(reference_jacobian_at, constellation, xyz)
+        fused = outcome(_evaluate, constellation, xyz)
+        if isinstance(delays[0], type):
+            assert fused == delays
+        else:
+            one_delays, one_jac = fused
+            assert (one_delays.shape, one_delays.tobytes()) == delays
+            if one_jac is None:
+                assert jac == (InvalidInputError, "position coincides with a baseline endpoint")
+            else:
+                assert (one_jac.shape, one_jac.tobytes()) == jac
+
+    def test_single_points(self, ground, leo):
+        for constellation, xyz in self.cases(ground, leo):
+            for point in xyz:
+                self.assert_same(constellation, point)
+
+    def test_stacks(self, ground, leo):
+        for constellation, xyz in self.cases(ground, leo):
+            self.assert_same(constellation, xyz[:30])
+            self.assert_same(constellation, xyz)
+            self.assert_same(constellation, xyz[:30].reshape(5, 6, 3))
+
+    def test_both_endpoints_of_a_baseline(self):
+        # The legs' squares underflow to zero, so the position sits on both
+        # endpoints of the 1e-163 m baseline at once.
+        tiny = Baseline.with_midpoint_source(Point3(0.0, 0.0, 0.0), Point3(1e-163, 0.0, 0.0))
+        constellation = Constellation((tiny, Y_BASELINE, Z_BASELINE))
+        xyz = np.array([5e-164, 0.0, 0.0])
+        self.assert_same(constellation, xyz)
+        with pytest.raises(InvalidInputError, match="coincides with both endpoints of a baseline"):
+            delays_at(constellation, xyz)
 
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

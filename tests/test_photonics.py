@@ -213,6 +213,36 @@ class TestEstimateBalance:
         assert math.sqrt(10.0) / 1.5 <= ratio <= math.sqrt(10.0) * 1.5
 
 
+class TestShortScans:
+    """A scan too short to fit, or whose fit ends where the center has no
+    variance, raises a QpsError, not numpy's or math's own exception."""
+
+    @pytest.mark.parametrize("points, fit_bandwidth", [(1, True), (2, True), (1, False)])
+    def test_fewer_points_than_parameters_rejected(self, points, fit_bandwidth):
+        rng = np.random.default_rng(points)
+        for seed in range(20):
+            grid = (float(rng.uniform(-3.0, 0.0)) + np.arange(points)) * WIDTH_M
+            scan = simulate_dip_scan(CONFIG, 0.0, grid, 0.01, seed)
+            with pytest.raises(InvalidInputError, match=f"a scan of {points} points cannot fit"):
+                estimate_balance(scan, CONFIG, fit_bandwidth)
+
+    # (first offset, last offset, points, integration time, seed, fit the
+    # bandwidth) of seeded scans whose fit stops at a singular normal
+    # matrix or a negative center variance.
+    DEGENERATE_FITS = [
+        (1.8104908019315714e-05, 0.002094610293250301, 4, 0.14166341694502438, 43, True),
+        (7.591764420867006e-05, 0.002847628871693519, 3, 0.0023450075366215723, 92, True),
+        (0.00015879777428644533, 0.002298959869123038, 2, 0.00885038934951054, 425, False),
+        (-0.00010765114447853821, 0.002258588467658301, 2, 0.04191114123015526, 1681, False),
+    ]
+
+    @pytest.mark.parametrize("lo, hi, points, t_int, seed, fit_bandwidth", DEGENERATE_FITS)
+    def test_degenerate_fit_diverges(self, lo, hi, points, t_int, seed, fit_bandwidth):
+        scan = simulate_dip_scan(CONFIG, 0.0, np.linspace(lo, hi, points), t_int, seed)
+        with pytest.raises(FitDivergedError, match="at the fitted point"):
+            estimate_balance(scan, CONFIG, fit_bandwidth)
+
+
 class TestAgainstSeparateEvaluations:
     """The fit carries each point's residuals and Jacobian with it; its
     results must equal, bit for bit, those of the loop that evaluates the
