@@ -107,7 +107,10 @@ def stacks_family():
         yield outcome(jacobian_at, constellation, xyz)
 
 
-def estimate_balance_family():
+def _dip_scan_args():
+    """(positional, keyword) arguments of 1000 seeded ``simulate_dip_scan``
+    calls: 21-81 points over 1.5-6 dip widths, 3 to 10^4 counts a point,
+    every other scan noise-free."""
     rng = np.random.default_rng(2503)
     width = SPEED_OF_LIGHT / DIP.delta_omega
     for seed in range(1000):
@@ -117,7 +120,33 @@ def estimate_balance_family():
         grid = true + np.linspace(-halfwidths * width, halfwidths * width, points)
         grid += float(rng.uniform(-0.5, 0.5)) * width
         t_int = 10.0 ** float(rng.uniform(-3.5, 0.0))
-        scan = simulate_dip_scan(DIP, true, grid, t_int, seed, noise=seed % 2 == 1)
+        yield (DIP, true, grid, t_int, seed), {"noise": seed % 2 == 1}
+
+
+def _dip_scan(*args, **kwargs):
+    scan = simulate_dip_scan(*args, **kwargs)
+    return scan.offsets_m.tobytes(), scan.rates_hz.tobytes(), scan.integration_time_s, scan.rng_seed
+
+
+def dip_scan_family():
+    for args, kwargs in _dip_scan_args():
+        yield outcome(_dip_scan, *args, **kwargs)
+    grid = np.linspace(-1e-3, 1e-3, 5)
+    for t_int in (1e6, 1e14):  # up to 1e18 counts a point
+        yield outcome(_dip_scan, DIP, 0.0, grid, t_int, 7)
+    for bad in (
+        (DIP, 0.0, grid[::-1], 1.0, 7),
+        (DIP, 0.0, [], 1.0, 7),
+        (DIP, 0.0, grid.reshape(1, 5), 1.0, 7),
+        (DIP, 0.0, grid, 0.0, 7),
+        (DIP, float("nan"), grid, 1.0, 7),
+    ):
+        yield outcome(_dip_scan, *bad)
+
+
+def estimate_balance_family():
+    for args, kwargs in _dip_scan_args():
+        scan = simulate_dip_scan(*args, **kwargs)
         for fit_bandwidth in (True, False):
             yield outcome(estimate_balance, scan, DIP, fit_bandwidth)
 
@@ -135,6 +164,7 @@ FAMILIES = {
     "far_field": far_field_family,
     "point_error": point_error_family,
     "stacks": stacks_family,
+    "dip_scan": dip_scan_family,
     "estimate_balance": estimate_balance_family,
     **{name: _figure_family(name) for name in FIGURE_NAMES},
 }

@@ -269,11 +269,19 @@ def reference_solve_position(
 def reference_estimate_balance(
     scan: DipScan, config: HomConfig, fit_bandwidth: bool = True
 ) -> BalanceEstimate:
-    """Test-only copy of the dip fit that evaluates the model, chi-squared
-    and Jacobian in separate passes: a point's model is computed again when
-    the fit moves to it, and its Jacobian once more to finish."""
-    offsets, rates, t_int = scan.offsets_m, scan.rates_hz, scan.integration_time_s
+    """Test-only copy of the dip fit that the Gram-matrix fit replaced: it
+    builds the normal equations by matrix products and solves them, damped
+    and for the covariance, with numpy's LAPACK routines."""
+    offsets = scan.offsets_m
+    n_params = 3 if fit_bandwidth else 2
+    if offsets.size < n_params:
+        raise InvalidInputError(f"a scan of {offsets.size} points cannot fit {n_params} parameters")
+    rates = scan.rates_hz
+    t_int = scan.integration_time_s
     counts = rates * t_int
+
+    # Dip-coverage precondition: the deepest point must sit at least
+    # MIN_DIP_SIGNIFICANCE counting standard deviations below the highest.
     peak = float(counts.max())
     depth = peak - float(counts.min())
     if depth < MIN_DIP_SIGNIFICANCE * math.sqrt(max(peak, 1.0)):
@@ -281,45 +289,59 @@ def reference_estimate_balance(
             f"scan depth {depth:.3g} counts is below "
             f"{MIN_DIP_SIGNIFICANCE} counting standard deviations of the plateau"
         )
-    weights = 1.0 / (np.sqrt(np.maximum(counts, 1.0)) / t_int)
+
+    sigma_rate = np.sqrt(np.maximum(counts, 1.0)) / t_int
+    weights = 1.0 / sigma_rate
+
     dw0 = config.delta_omega
     theta = np.array(
         [max(float(rates.max()), 1.0 / t_int), float(offsets[np.argmin(rates)])]
         + ([dw0] if fit_bandwidth else [])
     )
 
-    def unpack(th):
+    def unpack(th: np.ndarray) -> tuple[float, float, float]:
         return float(th[0]), float(th[1]), (float(th[2]) if fit_bandwidth else dw0)
 
-    def model(th):
+    def evaluate(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Chi-squared, weighted residuals and weighted Jacobian at ``th``."""
         plateau, center, dw = unpack(th)
-        q = dw * (offsets - center) / SPEED_OF_LIGHT
-        return plateau * (-np.expm1(-(q * q)))
-
-    def weighted_jacobian(th):
-        plateau, center, dw = unpack(th)
-        q = dw * (offsets - center) / SPEED_OF_LIGHT
-        e = np.exp(-(q * q))
-        cols = [1.0 - e, -plateau * e * 2.0 * q * dw / SPEED_OF_LIGHT]
+        shift = offsets - center
+        q = dw * shift / SPEED_OF_LIGHT
+        neg_q2 = -(q * q)
+        e = np.exp(neg_q2)
+        residuals = weights * (plateau * (-np.expm1(neg_q2)) - rates)
+        jac = np.empty((offsets.size, th.size))
+        slope = plateau * e * 2.0 * q
+        np.multiply(weights, 1.0 - e, out=jac[:, 0])
+        np.multiply(weights, -slope * dw / SPEED_OF_LIGHT, out=jac[:, 1])
         if fit_bandwidth:
-            cols.append(plateau * e * 2.0 * q * (offsets - center) / SPEED_OF_LIGHT)
-        return weights[:, None] * np.column_stack(cols)
+            np.multiply(weights, slope * shift / SPEED_OF_LIGHT, out=jac[:, 2])
+        return float((residuals**2).sum()), residuals, jac
 
-    def chi2(th):
-        return float(np.sum((weights * (model(th) - rates)) ** 2))
-
-    def finish(theta, iteration):
+    def finish(theta: np.ndarray, jac: np.ndarray, iteration: int) -> BalanceEstimate:
         plateau, center, dw = unpack(theta)
-        jac = weighted_jacobian(theta)
-        covariance = np.linalg.inv(jac.T @ jac)
-        return BalanceEstimate(center, float(math.sqrt(covariance[1, 1])), plateau, dw, iteration)
+        try:
+            covariance = np.linalg.inv(jac.T @ jac)
+        except np.linalg.LinAlgError:
+            raise FitDivergedError("normal equations singular at the fitted point") from None
+        variance = float(covariance[1, 1])
+        if not 0.0 < variance < math.inf:
+            raise FitDivergedError(
+                f"center variance {variance!r} at the fitted point is not positive and finite"
+            )
+        return BalanceEstimate(
+            offset_m=center,
+            sigma_m=math.sqrt(variance),
+            plateau_hz=plateau,
+            delta_omega=dw,
+            iterations=iteration,
+        )
 
-    f_cur = chi2(theta)
+    f_cur, res_cur, jac_cur = evaluate(theta)
     tiny = np.finfo(float).tiny
     for iteration in range(1, MAX_FIT_ITERATIONS + 1):
-        jac = weighted_jacobian(theta)
-        grad = jac.T @ (weights * (model(theta) - rates))
-        jtj = jac.T @ jac
+        grad = jac_cur.T @ res_cur
+        jtj = jac_cur.T @ jac_cur
         lam = 0.0
         while True:
             damp = jtj + lam * np.diag(np.diag(jtj)) if lam else jtj
@@ -331,15 +353,20 @@ def reference_estimate_balance(
                     raise FitDivergedError("normal equations singular at every damping level")
                 continue
             trial = theta + step
-            f_trial = chi2(trial)
-            if float(np.max(np.abs(step) / (np.abs(theta) + tiny))) < FIT_STEP_RTOL:
-                return finish(trial if f_trial <= f_cur else theta, iteration)
+            f_trial, res_trial, jac_trial = evaluate(trial)
+            # Parameter-step convergence: once no component can move by
+            # more than the relative threshold, the fit is done whether or
+            # not the (ulp-level) residual change is an improvement.
+            if float((np.abs(step) / (np.abs(theta) + tiny)).max()) < FIT_STEP_RTOL:
+                if f_trial <= f_cur:
+                    return finish(trial, jac_trial, iteration)
+                return finish(theta, jac_cur, iteration)
             if f_trial <= f_cur:
                 break
             lam = max(10.0 * lam, 1e-4)
             if lam > 1e14:
                 raise FitDivergedError("no damping level reduced the fit residual")
-        theta, f_cur = trial, f_trial
+        theta, f_cur, res_cur, jac_cur = trial, f_trial, res_trial, jac_trial
     raise FitDivergedError(f"dip fit did not converge in {MAX_FIT_ITERATIONS} iterations")
 
 

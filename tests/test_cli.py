@@ -315,6 +315,30 @@ class TestDipScanCommand:
         assert code == 1
         assert json.loads(err)["error"] == "FitDivergedError"
 
+    def test_far_out_trial_step_error_is_json(self):
+        # A damped step throws the center far enough out that the model's
+        # exponent overflows; the fit rejects the step without a warning,
+        # so stderr holds only the JSON error.
+        proc = run_fresh(
+            "-m", "qps", "dip-scan",
+            "--grid=-0.001768783551904021,-0.0003865627524457472,3",
+            "--integration-time", "0.0075374048211578285",
+            "--seed", "1644",
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "FitDivergedError"
+
+    @pytest.mark.parametrize("t_int", ["1e16", "1e300"])
+    def test_counts_beyond_poisson_limit_error(self, capsys, t_int):
+        code, out, err = run(
+            capsys,
+            ["dip-scan", "--grid=-0.001,0.001,5", "--integration-time", t_int, "--seed", "1"],
+        )
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "InvalidInputError"
+        assert "exceeds 9.2e+18" in error["message"]
+
 
 class TestGridCommands:
     def test_field_csv(self, capsys, tmp_path):
