@@ -83,12 +83,15 @@ def coincidence_rate(config: HomConfig, imbalance: float | np.ndarray) -> float 
     dt = np.asarray(imbalance, dtype=float)
     if not np.isfinite(dt).all():
         raise InvalidInputError("imbalance must be finite")
-    rate = _rate(config, dt)
+    with np.errstate(over="ignore"):
+        rate = _rate(config, dt)
     return float(rate) if scalar else rate
 
 
 def _rate(config: HomConfig, dt: np.ndarray) -> np.ndarray:
-    """The coincidence rate at finite imbalances ``dt``, unchecked."""
+    """The coincidence rate at finite imbalances ``dt``, unchecked. Callers
+    ignore overflow: an imbalance whose square overflows is on the plateau,
+    and the rate there is exactly the plateau rate."""
     q = config.delta_omega * dt
     return config.plateau_rate * (-np.expm1(-(q * q)))
 
@@ -167,7 +170,7 @@ def simulate_dip_scan(
             interferometer is actually balanced.
         grid: Strictly increasing finite trial offsets, meters.
         integration_time: Counting time per point, seconds.
-        seed: RNG seed for the counting noise.
+        seed: RNG seed for the counting noise, a non-negative integer.
         noise: When False, record the exact expected rates instead.
 
     Raises:
@@ -186,8 +189,11 @@ def simulate_dip_scan(
         raise InvalidInputError("integration time must be > 0")
     if not math.isfinite(true_balance_offset):
         raise InvalidInputError("true balance offset must be finite")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
 
-    expected = _rate(config, (offsets - true_balance_offset) / SPEED_OF_LIGHT)
+    with np.errstate(over="ignore"):
+        expected = _rate(config, (offsets - true_balance_offset) / SPEED_OF_LIGHT)
     if noise:
         peak = float(expected.max()) * integration_time
         if not peak <= MAX_EXPECTED_COUNT:

@@ -35,10 +35,12 @@ from .geometry import (
     json_float,
 )
 
-#: Residual convergence scale: converged when ||f|| < RESIDUAL_TOL * (1 + |x|).
+#: Residual scale of the rounding floor: below ``RESIDUAL_TOL * (1 + |x|)``,
+#: a full step that does not strictly reduce the residual ends the solve.
 RESIDUAL_TOL = 1e-12
-#: Step-size convergence threshold, meters.
-STEP_TOL_M = 1e-14
+#: Relative step convergence: a Newton step shorter than
+#: ``STEP_RTOL * (1 + |x|)`` is taken and ends the solve.
+STEP_RTOL = 1e-12
 #: Iteration budget.
 MAX_ITERATIONS = 200
 #: An iterate farther than this many times ``max(radius, |start - centre|)``
@@ -129,8 +131,8 @@ def _validate_delays(constellation: Constellation, delays: DelayTriple) -> np.nd
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateDelayError(
-            f"delay s{i + 1}={s[i]!r} m is inconsistent with baseline length "
-            f"{constellation.lengths[i]!r} m"
+            f"delay s{i + 1}={float(s[i])!r} m is inconsistent with baseline length "
+            f"{float(constellation.lengths[i])!r} m"
         )
     return s
 
@@ -143,15 +145,24 @@ def solve_position(
     Newton's method with a backtracking line search: a full Newton step
     when it does not raise the residual norm, else the same step scaled by
     1/2, 1/4, ... down to ``MIN_STEP_SCALE``, the first scale that does
-    not raise it. Converged when ``||f|| < 1e-12 * (1 + |x|)`` or the
-    Newton step is below 1e-14 m; after the residual criterion fires, full
-    steps are polished in while they still strictly reduce the residual,
-    which costs a couple of extra function evaluations and buys the last
-    digits of position accuracy. An iterate farther from the constellation
-    centre than ``DIVERGENCE_FACTOR * max(radius, |guess - centre|)`` is
-    abandoned before the residual test. Each point is evaluated once: its
-    residual and Jacobian come from one leg evaluation and travel with the
-    iterate through the step, the line search, the polish and the result.
+    not raise it. Every iteration runs the same checks in the same order:
+    the divergence bound (an iterate farther from the constellation centre
+    than ``DIVERGENCE_FACTOR * max(radius, |guess - centre|)`` is
+    abandoned), the endpoint and condition checks on the Jacobian, and
+    only then the Newton step. The solve has converged when either
+
+    * the Newton step is shorter than ``STEP_RTOL * (1 + |x|)``: the step
+      is taken, and the point it reaches is reported once it has passed
+      the checks of the next iteration; or
+    * the full step does not strictly reduce a residual norm that is
+      already below ``RESIDUAL_TOL * (1 + |x|)``: that is the rounding
+      floor, and ``x`` is reported.
+
+    So every reported position has a checked Jacobian, and its condition
+    number is at most ``CONDITION_LIMIT``. ``iterations`` counts the
+    accepted steps. Each point is evaluated once: its residual and
+    Jacobian come from one leg evaluation and travel with the iterate
+    through the step, the line search and the result.
 
     Args:
         constellation: Baseline geometry.
@@ -175,17 +186,14 @@ def solve_position(
     bound = DIVERGENCE_FACTOR * max(constellation.radius, math.dist(x.tolist(), centre))
     r, jac = _residual(constellation, x, s)
     iterations = 0
+    converged = False
 
-    for _ in range(MAX_ITERATIONS):
+    while True:
         if math.dist(x.tolist(), centre) > bound:
             raise NotConvergedError(
                 f"iterate left the bound of {bound:.3e} m around the constellation "
                 f"centre at {x.tolist()}"
             )
-        r_norm = _norm(r)
-        if r_norm < RESIDUAL_TOL * (1.0 + _norm(x)):
-            return _result(*_polish(constellation, x, r, jac, s), iterations)
-
         if jac is None:
             raise SingularJacobianError(f"iterate coincides with a baseline endpoint at {x.tolist()}")
         cond = condition_number(jac)
@@ -193,28 +201,34 @@ def solve_position(
             raise SingularJacobianError(
                 f"Jacobian condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e} at iterate {x.tolist()}"
             )
+        r_norm = _norm(r)
+        if converged:
+            return SolveResult(Point3.from_array(x), r_norm, iterations, True, cond)
+        if iterations == MAX_ITERATIONS:
+            raise NotConvergedError(
+                f"no convergence in {MAX_ITERATIONS} iterations; last residual norm "
+                f"{r_norm:.3e} m at {x.tolist()}"
+            )
 
+        x_norm = _norm(x)
         step = np.linalg.solve(jac, -r)
-        if _norm(step) < STEP_TOL_M:
-            return _result(x, r, jac, iterations)
-
         x_new = x + step
         r_new, jac_new = _residual(constellation, x_new, s)
-        if _norm(r_new) > r_norm:
+        r_new_norm = _norm(r_new)
+        if not r_new_norm < r_norm and r_norm < RESIDUAL_TOL * (1.0 + x_norm):
+            # The rounding floor: a full step no longer reduces the residual.
+            return SolveResult(Point3.from_array(x), r_norm, iterations, True, cond)
+        converged = _norm(step) < STEP_RTOL * (1.0 + x_norm)
+        if not converged and r_new_norm > r_norm:
             x_new, r_new, jac_new = _backtrack(constellation, x, r, jac, step, s)
-        # The iteration depends on the iterate alone, so an unmoved point
-        # would repeat the same step until the budget ran out.
-        if x_new.tobytes() == x.tobytes():
-            raise NotConvergedError(
-                f"step stalled at residual norm {r_norm:.3e} m at {x.tolist()}"
-            )
+            # The iteration depends on the iterate alone, so an unmoved point
+            # would repeat the same step until the budget ran out.
+            if x_new.tobytes() == x.tobytes():
+                raise NotConvergedError(
+                    f"step stalled at residual norm {r_norm:.3e} m at {x.tolist()}"
+                )
         x, r, jac = x_new, r_new, jac_new
         iterations += 1
-
-    raise NotConvergedError(
-        f"no convergence in {MAX_ITERATIONS} iterations; last residual norm "
-        f"{_norm(r):.3e} m at {x.tolist()}"
-    )
 
 
 def _norm(v: np.ndarray) -> float:
@@ -256,42 +270,6 @@ def _backtrack(
             return x_try, r_try, jac_try
         t *= 0.5
     return x, r, jac
-
-
-def _polish(
-    constellation: Constellation,
-    x: np.ndarray,
-    r: np.ndarray,
-    jac: np.ndarray | None,
-    s: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Extra full Newton steps while they strictly reduce the residual."""
-    for _ in range(3):
-        if jac is None:
-            break
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        x_new = x + step
-        r_new, jac_new = _residual(constellation, x_new, s)
-        if _norm(r_new) < _norm(r):
-            x, r, jac = x_new, r_new, jac_new
-        else:
-            break
-    return x, r, jac
-
-
-def _result(
-    x: np.ndarray, r: np.ndarray, jac: np.ndarray | None, iterations: int
-) -> SolveResult:
-    return SolveResult(
-        position=Point3.from_array(x),
-        residual_norm=_norm(r),
-        iterations=iterations,
-        converged=True,
-        condition_number=math.inf if jac is None else condition_number(jac),
-    )
 
 
 #: Exponents of the 35 monomials of degree <= 4 in (x, y, z), ordered by
@@ -347,11 +325,12 @@ def solve_all(constellation: Constellation, delays: DelayTriple) -> list[SolveRe
 
     Roots that are not finite and real (imaginary part above 1e-3 of their
     scaled size) or lie on a mirror sheet (a residual above ``|d_i|`` plus
-    1e-4 radius) are dropped, and :func:`solve_position` polishes each of
-    the rest; a root whose polish fails is dropped. The results are sorted
-    by distance from the constellation centre, nearest first, and one
-    within ``CLUSTER_RADIUS_M * max(1, |x| / 1 km)`` of an earlier one is
-    dropped. The list is empty when the sheets do not meet.
+    1e-4 radius) are dropped, and each of the rest is refined by
+    :func:`solve_position` started at it; a root whose solve raises is
+    dropped, so every candidate has passed its condition check. The
+    results are sorted by distance from the constellation centre, nearest
+    first, and one within ``CLUSTER_RADIUS_M * max(1, |x| / 1 km)`` of an
+    earlier one is dropped. The list is empty when the sheets do not meet.
 
     Raises:
         DegenerateDelayError: A delay is incompatible with its baseline.

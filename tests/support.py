@@ -26,7 +26,6 @@ from qps.solver import (
     MAX_ITERATIONS,
     MIN_STEP_SCALE,
     RESIDUAL_TOL,
-    STEP_TOL_M,
     _validate_delays,
 )
 
@@ -182,6 +181,11 @@ def reference_jacobian_at(constellation: Constellation, xyz: np.ndarray) -> np.n
     if np.any(n_a == 0.0) or np.any(n_b == 0.0):
         raise InvalidInputError("position coincides with a baseline endpoint")
     return d_a / n_a[..., None] - d_b / n_b[..., None]
+
+
+#: The absolute step convergence threshold, meters, of the Newton loop that
+#: :func:`reference_solve_position` copies.
+STEP_TOL_M = 1e-14
 
 
 def reference_solve_position(

@@ -207,6 +207,14 @@ class TestSolveCommand:
         assert data["error"] == "DegenerateDelayError"
         assert "s1" in data["message"]
 
+    def test_degenerate_delay_message_has_plain_floats(self, capsys):
+        code, _, err = run(capsys, ["solve", "--preset", "terrestrial", "--s=5,0,0"])
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "DegenerateDelayError",
+            "message": "delay s1=5.0 m is inconsistent with baseline length 4.0 m",
+        }
+
     def test_constellation_file_source(self, capsys, tmp_path, ground):
         path = tmp_path / "c.json"
         ground.save_json(path)
@@ -327,6 +335,15 @@ class TestDipScanCommand:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "FitDivergedError"
+
+    def test_overflowing_true_offset_error_is_json(self):
+        # The model's exponent overflows at every grid point; the scan is
+        # flat at the plateau, and stderr holds only the JSON error.
+        proc = run_fresh(
+            "-m", "qps", "dip-scan", "--grid=-1e-3,1e-3,41", "--true-offset=1e200", "--seed", "1"
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "NoDipFoundError"
 
     @pytest.mark.parametrize("t_int", ["1e16", "1e300"])
     def test_counts_beyond_poisson_limit_error(self, capsys, t_int):

@@ -92,6 +92,12 @@ class TestCoincidenceRate:
         with pytest.raises(InvalidInputError):
             coincidence_rate(CONFIG, math.nan)
 
+    def test_plateau_at_overflowing_imbalance(self):
+        # (delta_omega * dt)**2 overflows; the rate is the plateau, silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert coincidence_rate(CONFIG, 1e200) == CONFIG.plateau_rate
+
     @given(dt=st.floats(min_value=-1e-10, max_value=1e-10))
     @settings(max_examples=200, deadline=None)
     def test_even_in_imbalance(self, dt):
@@ -149,6 +155,26 @@ class TestSimulateDipScan:
             simulate_dip_scan(CONFIG, 0.0, dip_grid(0.0, points=5), t_int, seed=1)
         scan = simulate_dip_scan(CONFIG, 0.0, dip_grid(0.0, points=5), t_int, seed=1, noise=False)
         assert np.isfinite(scan.rates_hz).all()
+
+    def test_offsets_overflowing_their_difference(self):
+        # The offsets are 2e308 m apart, beyond the largest float: both
+        # points are on the plateau, with no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = simulate_dip_scan(CONFIG, -1e308, [0.0, 1e308], 1.0, 1, noise=False)
+            assert (scan.rates_hz == CONFIG.plateau_rate).all()
+            simulate_dip_scan(CONFIG, -1e308, [0.0, 1e308], 1.0, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        for noise in (True, False):
+            with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
+                simulate_dip_scan(CONFIG, 0.0, dip_grid(0.0), 1.0, seed, noise=noise)
+
+    def test_numpy_integer_seed_accepted(self):
+        one = simulate_dip_scan(CONFIG, 1e-4, dip_grid(1e-4), 2.0, np.uint32(7))
+        two = simulate_dip_scan(CONFIG, 1e-4, dip_grid(1e-4), 2.0, 7)
+        assert np.array_equal(one.rates_hz, two.rates_hz) and one.rng_seed == 7
 
     def test_counts_just_below_poisson_limit_sampled(self):
         t_int = 0.99 * MAX_EXPECTED_COUNT / CONFIG.plateau_rate

@@ -23,7 +23,7 @@ from qps import (
     solve_all,
     solve_position,
 )
-from qps.geometry import _evaluate, condition_number, delays_at, jacobian_at
+from qps.geometry import CONDITION_LIMIT, _evaluate, condition_number, delays_at, jacobian_at
 from qps.solver import MAX_ITERATIONS, _backtrack
 
 from .support import (
@@ -31,7 +31,6 @@ from .support import (
     condition,
     line_constellation,
     naive_delays,
-    outcome,
     random_instance,
     reference_solve_position,
 )
@@ -228,11 +227,36 @@ class TestSolvePosition:
         assert data["converged"] is True
 
 
+def solved(call, *args):
+    """The result of a solve, or the type and message of its error."""
+    try:
+        return call(*args)
+    except QpsError as exc:
+        return type(exc), str(exc)
+
+
 class TestAgainstSeparateEvaluations:
-    """The solver carries each point's residual and Jacobian with the
-    iterate; its results and errors must equal, bit for bit, those of the
-    loop that evaluates them separately through ``delays_at`` and
-    ``jacobian_at``."""
+    """Differential tests against the Newton loop that the solver replaced,
+    which evaluates delays and Jacobian separately through ``delays_at`` and
+    ``jacobian_at``, stops on a residual test and then polishes. Outcomes
+    must be of the same kind, errors must carry the same message, and
+    positions must agree within ``POSITION_RTOL``."""
+
+    #: Relative position tolerance: under 10x the worst measured
+    #: disagreement, 1.13e-14 on ``test_random_users_match_reference_loop``.
+    POSITION_RTOL = 1e-13
+
+    def assert_agree(self, args):
+        got, ref = solved(solve_position, *args), solved(reference_solve_position, *args)
+        if not isinstance(ref, qps.SolveResult):
+            assert got == ref
+            return ref[0]
+        assert isinstance(got, qps.SolveResult), got
+        assert got.converged and got.condition_number <= CONDITION_LIMIT
+        expected = ref.position.as_array()
+        rel = np.linalg.norm(got.position.as_array() - expected) / np.linalg.norm(expected)
+        assert rel <= self.POSITION_RTOL, (args, rel)
+        return qps.SolveResult
 
     def test_random_users_match_reference_loop(self):
         rng = np.random.default_rng(2403)
@@ -244,23 +268,46 @@ class TestAgainstSeparateEvaluations:
             near = user.as_array() + 0.01 * user.norm() * direction / np.linalg.norm(direction)
             cold = rng.uniform(-40.0, 40.0, 3)
             for guess in (near, cold):
-                args = (constellation, delays, Point3.from_array(guess))
-                got = outcome(solve_position, *args)
-                assert got == outcome(reference_solve_position, *args)
-                kinds.add(got[0] if isinstance(got[0], type) else qps.SolveResult)
+                kinds.add(self.assert_agree((constellation, delays, Point3.from_array(guess))))
         assert kinds == {qps.SolveResult, NotConvergedError}
 
     @pytest.mark.parametrize(
         "user, guess",
         [
-            ((3e4, -2e4, 1e4), (3.1e4, -2.1e4, 1.05e4)),  # far field
             ((15, 32, -28), (2.0, 0.0, 0.0)),  # guess on an endpoint
             ((15, 32, -28), (0.0, 0.0, 100.0)),  # singular guess on the z axis
+            ((15, 32, -28), (-40.0, -40.0, -40.0)),  # first step leaves the bound
         ],
     )
     def test_ground_cases_match_reference_loop(self, ground, user, guess):
         args = (ground, triple_from(ground, Point3(*user)), Point3(*guess))
-        assert outcome(solve_position, *args) == outcome(reference_solve_position, *args)
+        assert self.assert_agree(args) in (SingularJacobianError, NotConvergedError)
+
+
+class TestStoppingRule:
+    """Cases that the replaced loop reported converged before checking the
+    Jacobian of the point it reported."""
+
+    def test_far_field_solve_ends_at_the_user(self, ground):
+        # The replaced loop stopped on its residual test 890 m from the user
+        # (2.4e-2 relative), where the condition number is 6.7e8.
+        user = Point3(3e4, -2e4, 1e4)
+        result = solve_position(ground, triple_from(ground, user), Point3(3.1e4, -2.1e4, 1.05e4))
+        rel = np.linalg.norm(result.position.as_array() - user.as_array()) / user.norm()
+        assert rel <= 1e-6
+        assert result.converged and result.condition_number <= CONDITION_LIMIT
+
+    def test_guess_on_the_satellite_solution_line(self, leo):
+        # Every point of the z axis solves zero delays on the satellite
+        # layout, and the Jacobian there is singular. The replaced loop
+        # reported the guess converged, with condition number inf.
+        with pytest.raises(SingularJacobianError, match="condition number inf"):
+            solve_position(leo, DelayTriple(0.0, 0.0, 0.0), Point3(0.0, 0.0, 6.378e6))
+
+    def test_start_at_a_solution_takes_no_step(self, ground):
+        result = solve_position(ground, DelayTriple(0.0, 0.0, 0.0), Point3(0.0, 0.0, 0.0))
+        assert result.position == Point3(0.0, 0.0, 0.0)
+        assert result.iterations == 0 and result.residual_norm == 0.0
 
 
 def planar_constellation() -> Constellation:
