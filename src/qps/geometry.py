@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -32,37 +33,60 @@ SPEED_OF_LIGHT = 299_792_458.0
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A position in 3-D Cartesian space, in meters.
+#: Largest magnitude of a coordinate or a delay, meters; squares overflow from about 1.3e154 m.
+MAX_COORDINATE_M = 1e150
 
-    All components must be finite; NaN or infinity is rejected at
-    construction so downstream operations never see them.
-    """
+
+class _Triple:
+    """Three numbers, the dataclass fields of a subclass, each at most
+    ``MAX_COORDINATE_M`` in magnitude (so NaN and infinity are rejected at
+    construction); ``_noun`` names them in the errors of :meth:`from_array`."""
+
+    _noun = "components"
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __post_init__(self):
+        try:
+            for name in self._fields:
+                value = getattr(self, name)
+                if not abs(value) <= MAX_COORDINATE_M:
+                    raise TypeError
+                object.__setattr__(self, name, float(value))
+        except TypeError:
+            raise InvalidInputError(
+                f"{type(self).__name__}.{name} must be finite and at most "
+                f"{MAX_COORDINATE_M:.0e} in magnitude, got {value!r}"
+            ) from None
+
+    @classmethod
+    def from_array(cls, arr: Iterable[float]):
+        """The triple of the three numbers in ``arr``, which is not a string."""
+        # Python floats convert faster than numpy scalars.
+        values = arr.tolist() if isinstance(arr, np.ndarray) else arr
+        try:
+            if isinstance(values, (str, bytes)):
+                raise TypeError
+            vals = [float(v) for v in values]
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"{cls._noun} must be numbers, got {arr!r}") from None
+        if len(vals) != 3:
+            raise InvalidInputError(f"expected 3 {cls._noun}, got {len(vals)}")
+        return cls(*vals)
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self._values(self))
+
+
+@dataclass(frozen=True)
+class Point3(_Triple):
+    """A position in 3-D Cartesian space, in meters."""
 
     x: float
     y: float
     z: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidInputError(f"Point3.{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
-
-    @classmethod
-    def from_array(cls, arr: Iterable[float]) -> "Point3":
-        try:
-            vals = [float(v) for v in arr]
-        except ValueError:
-            raise InvalidInputError(f"components must be numbers, got {arr!r}") from None
-        if len(vals) != 3:
-            raise InvalidInputError(f"expected 3 components, got {len(vals)}")
-        return cls(*vals)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y, self.z)
@@ -90,12 +114,8 @@ class Baseline:
     @classmethod
     def with_midpoint_source(cls, endpoint_a: Point3, endpoint_b: Point3) -> "Baseline":
         """Build a baseline with the source at the midpoint of the endpoints."""
-        mid = Point3(
-            0.5 * (endpoint_a.x + endpoint_b.x),
-            0.5 * (endpoint_a.y + endpoint_b.y),
-            0.5 * (endpoint_a.z + endpoint_b.z),
-        )
-        return cls(endpoint_a, endpoint_b, mid)
+        mid = 0.5 * (endpoint_a.as_array() + endpoint_b.as_array())
+        return cls(endpoint_a, endpoint_b, Point3.from_array(mid))
 
     @cached_property
     def length(self) -> float:
@@ -196,13 +216,7 @@ class Constellation:
         baselines = []
         for i, entry in enumerate(entries):
             try:
-                baselines.append(
-                    Baseline(
-                        Point3.from_array(entry["a"]),
-                        Point3.from_array(entry["b"]),
-                        Point3.from_array(entry["source"]),
-                    )
-                )
+                baselines.append(Baseline(*(Point3.from_array(entry[k]) for k in ("a", "b", "source"))))
             except (TypeError, KeyError):
                 raise InvalidInputError(f"baseline {i}: each entry needs 'a', 'b' and 'source' triples")
         return cls(tuple(baselines))
@@ -250,7 +264,8 @@ def delays_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
     needs both, like the solver, evaluates each point once.
 
     Raises:
-        InvalidInputError: A position is not finite, or sits on both
+        InvalidInputError: A coordinate is not finite or exceeds
+            ``MAX_COORDINATE_M`` in magnitude, or a position sits on both
             endpoints of a baseline at once.
     """
     return _delays(constellation, xyz, _legs(constellation, xyz)[1])
@@ -259,9 +274,11 @@ def delays_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
 def _legs(constellation: Constellation, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectors from the six endpoints (:attr:`Constellation.endpoints`) to
     ``xyz``, shape ``(..., 6, 3)``, and their lengths, computed as
-    ``np.linalg.norm(v, axis=-1)`` computes them."""
-    if not np.isfinite(xyz).all():
-        raise InvalidInputError(f"position must be finite, got {xyz!r}")
+    ``np.linalg.norm(v, axis=-1)`` computes them; no square overflows."""
+    if not abs(xyz).max(initial=0.0) <= MAX_COORDINATE_M:
+        raise InvalidInputError(
+            f"position must be finite and at most {MAX_COORDINATE_M:.0e} in magnitude, got {xyz!r}"
+        )
     d = xyz[..., None, :] - constellation.endpoints
     return d, np.sqrt(np.add.reduce(d * d, axis=-1))
 
@@ -310,9 +327,9 @@ def jacobian_at(constellation: Constellation, xyz: np.ndarray) -> np.ndarray:
     :func:`delays_at` and computes no delays.
 
     Raises:
-        InvalidInputError: A position is not finite, as in
-            :func:`delays_at`, or coincides with a baseline endpoint, where
-            the gradient is undefined.
+        InvalidInputError: A coordinate is out of bounds, as in
+            :func:`delays_at`, or a position coincides with a baseline
+            endpoint, where the gradient is undefined.
     """
     jac = _jacobian(*_legs(constellation, xyz))
     if jac is None:
@@ -337,3 +354,16 @@ def condition_number(jacobian: np.ndarray) -> float | np.ndarray:
 def json_float(v: float) -> float | None:
     """A float for JSON output: non-finite values become ``None`` (null)."""
     return float(v) if math.isfinite(v) else None
+
+
+def column_list(values: np.ndarray, boolean: type = bool) -> list:
+    """An output column as Python floats, or as ``boolean`` values if boolean."""
+    values = np.asarray(values)
+    return values.astype(boolean if values.dtype == bool else float, copy=False).tolist()
+
+
+def csv_table(columns: dict[str, np.ndarray]) -> str:
+    """CSV of equal-length columns under a header of their names: floats as
+    their ``repr`` and booleans as 1 or 0, the bytes of ``csv.writer``."""
+    cells = (map(repr, column_list(c, int)) for c in columns.values())
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells)), ""])

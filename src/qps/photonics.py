@@ -14,8 +14,6 @@ model back to a scan to recover the balance point and its uncertainty.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import FitDivergedError, InvalidInputError, NoDipFoundError
-from .geometry import SPEED_OF_LIGHT
+from .geometry import SPEED_OF_LIGHT, column_list, csv_table
 
 #: Fit iteration budget.
 MAX_FIT_ITERATIONS = 100
@@ -131,17 +129,12 @@ class DipScan:
         object.__setattr__(self, "rates_hz", rates)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["offset_m", "rate_hz"])
-        for o, r in zip(self.offsets_m, self.rates_hz):
-            writer.writerow([repr(float(o)), repr(float(r))])
-        return buf.getvalue()
+        return csv_table({"offset_m": self.offsets_m, "rate_hz": self.rates_hz})
 
     def to_json_dict(self) -> dict:
         return {
-            "offsets_m": [float(v) for v in self.offsets_m],
-            "rates_hz": [float(v) for v in self.rates_hz],
+            "offsets_m": column_list(self.offsets_m),
+            "rates_hz": column_list(self.rates_hz),
             "integration_time_s": self.integration_time_s,
             "rng_seed": self.rng_seed,
         }

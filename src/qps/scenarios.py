@@ -10,8 +10,6 @@ for external plotting.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -20,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .gdop import point_error
-from .geometry import Baseline, Constellation, Point3, json_float
+from .geometry import Baseline, Constellation, Point3, column_list, csv_table, json_float
 
 #: Mean Earth radius used by the satellite presets, meters.
 EARTH_RADIUS_M = 6_378_000.0
@@ -102,7 +100,9 @@ def build_leo(config: LeoConfig) -> Constellation:
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """A swept coordinate: ``count`` evenly spaced samples of ``name``."""
+    """A swept coordinate: ``count`` evenly spaced samples of ``name``,
+    at least 2 and at most ``MAX_SCAN_POINTS``, so no axis allocates more
+    than one scan may evaluate."""
 
     name: str
     start: float
@@ -112,6 +112,10 @@ class AxisSpec:
     def __post_init__(self):
         if self.count < 2:
             raise InvalidInputError(f"axis {self.name!r}: count must be >= 2, got {self.count}")
+        if self.count > MAX_SCAN_POINTS:
+            raise InvalidInputError(
+                f"axis {self.name!r}: count {self.count} exceeds the limit of {MAX_SCAN_POINTS}"
+            )
         if not (math.isfinite(self.start) and math.isfinite(self.stop)) or self.start >= self.stop:
             raise InvalidInputError(f"axis {self.name!r}: need finite start < stop")
 
@@ -137,33 +141,23 @@ class FieldGrid:
 
     def __post_init__(self):
         n_points = int(np.prod([ax.count for ax in self.axes]))
-        for name, arr in {
-            "r_xyz_m": self.r_xyz_m,
-            "degenerate": self.degenerate,
-            "condition_number": self.condition_number,
-            **self.coords,
-        }.items():
+        for name, arr in self._columns().items():
             if len(arr) != n_points:
                 raise InvalidInputError(
                     f"column {name!r} has {len(arr)} entries, expected {n_points}"
                 )
 
+    def _columns(self) -> dict[str, np.ndarray]:
+        """Every column by name, in the order of the CSV."""
+        return {
+            **self.coords,
+            "r_xyz_m": self.r_xyz_m,
+            "degenerate": self.degenerate,
+            "condition_number": self.condition_number,
+        }
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        names = list(self.coords)
-        writer.writerow(names + ["r_xyz_m", "degenerate", "condition_number"])
-        columns = [self.coords[n] for n in names]
-        for i in range(len(self.r_xyz_m)):
-            writer.writerow(
-                [repr(float(col[i])) for col in columns]
-                + [
-                    repr(float(self.r_xyz_m[i])),
-                    int(self.degenerate[i]),
-                    repr(float(self.condition_number[i])),
-                ]
-            )
-        return buf.getvalue()
+        return csv_table(self._columns())
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,19 +166,11 @@ class FieldGrid:
                 for ax in self.axes
             ],
             "fixed": dict(self.fixed),
-            "coords": {k: [float(v) for v in arr] for k, arr in self.coords.items()},
-            "r_xyz_m": [json_float(v) for v in self.r_xyz_m],
-            "degenerate": [bool(v) for v in self.degenerate],
-            "condition_number": [json_float(v) for v in self.condition_number],
+            "coords": {k: column_list(arr) for k, arr in self.coords.items()},
+            "r_xyz_m": list(map(json_float, column_list(self.r_xyz_m))),
+            "degenerate": column_list(self.degenerate),
+            "condition_number": list(map(json_float, column_list(self.condition_number))),
         }
-
-
-def _check_scan_size(*axes: AxisSpec) -> None:
-    n_points = math.prod(ax.count for ax in axes)
-    if n_points > MAX_SCAN_POINTS:
-        raise InvalidInputError(
-            f"scan of {n_points} points exceeds the limit of {MAX_SCAN_POINTS}"
-        )
 
 
 def _evaluate_points(
@@ -222,7 +208,9 @@ def scan_plane(
             f"plane axes must be a permutation of {_AXIS_NAMES}, got "
             f"({sweep1.name!r}, {sweep2.name!r}, fixed {fixed_axis!r})"
         )
-    _check_scan_size(sweep1, sweep2)
+    n_points = sweep1.count * sweep2.count
+    if n_points > MAX_SCAN_POINTS:
+        raise InvalidInputError(f"scan of {n_points} points exceeds the limit of {MAX_SCAN_POINTS}")
     v1, v2 = sweep1.values(), sweep2.values()
     grid1, grid2 = np.meshgrid(v1, v2, indexing="ij")
     points = np.empty((grid1.size, 3))
@@ -263,7 +251,6 @@ def scan_line(
     if length == 0.0:
         raise InvalidInputError("line start and end must differ")
     axis = AxisSpec("arc_m", 0.0, length, count)
-    _check_scan_size(axis)
     t = np.linspace(0.0, 1.0, count)
     points = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
 
@@ -299,7 +286,6 @@ def scan_baseline_length(
     if not (math.isfinite(a_start) and a_start > 0.0):
         raise InvalidInputError(f"a_start must be > 0, got {a_start!r}")
     axis = AxisSpec("a_m", a_start, a_stop, count)
-    _check_scan_size(axis)
     a_values = axis.values()
     r_xyz, degenerate, cond = _evaluate_points(
         ((build_terrestrial(TerrestrialConfig(float(a))), user) for a in a_values),

@@ -27,8 +27,10 @@ from .errors import (
 )
 from .geometry import (
     CONDITION_LIMIT,
+    MAX_COORDINATE_M,
     Constellation,
     Point3,
+    _Triple,
     _evaluate,
     condition_number,
     delays_at,
@@ -54,32 +56,14 @@ CLUSTER_RADIUS_M = 1e-6
 
 
 @dataclass(frozen=True)
-class DelayTriple:
+class DelayTriple(_Triple):
     """Measured balancing delay lengths, meters, one per baseline."""
+
+    _noun = "delays"
 
     s1: float
     s2: float
     s3: float
-
-    def __post_init__(self):
-        for name in ("s1", "s2", "s3"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise InvalidInputError(f"DelayTriple.{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
-
-    @classmethod
-    def from_array(cls, arr) -> "DelayTriple":
-        try:
-            vals = [float(v) for v in arr]
-        except ValueError:
-            raise InvalidInputError(f"delays must be numbers, got {arr!r}") from None
-        if len(vals) != 3:
-            raise InvalidInputError(f"expected 3 delays, got {len(vals)}")
-        return cls(*vals)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -175,10 +159,11 @@ def solve_position(
         SingularJacobianError: The Jacobian at an iterate is degenerate
             (condition number above ``CONDITION_LIMIT``, or the iterate
             sits on a baseline endpoint).
-        NotConvergedError: The iterate left the divergence bound, the
-            iteration budget ran out, or the step stalled: no step scale
-            keeps the residual from rising, or the accepted step leaves the
-            iterate unchanged, so every later iteration would repeat.
+        NotConvergedError: The iterate left the divergence bound or the
+            model's domain, the iteration budget ran out, or the step
+            stalled: no step scale keeps the residual from rising, or the
+            accepted step leaves the iterate unchanged, so every later
+            iteration would repeat.
     """
     s = _validate_delays(constellation, delays)
     x = initial_guess.as_array()
@@ -240,8 +225,11 @@ def _residual(
     constellation: Constellation, x: np.ndarray, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Residual of the delay equations at ``x`` and its Jacobian, None on an
-    endpoint."""
-    model, jac = _evaluate(constellation, x)
+    endpoint. An iterate where the model is undefined has diverged."""
+    try:
+        model, jac = _evaluate(constellation, x)
+    except InvalidInputError as exc:
+        raise NotConvergedError(f"iterate left the domain of the delay model: {exc}") from None
     return model - s, jac
 
 
@@ -324,10 +312,11 @@ def solve_all(constellation: Constellation, delays: DelayTriple) -> list[SolveRe
     (Moller & Stetter, Numer. Math. 70, 1995).
 
     Roots that are not finite and real (imaginary part above 1e-3 of their
-    scaled size) or lie on a mirror sheet (a residual above ``|d_i|`` plus
-    1e-4 radius) are dropped, and each of the rest is refined by
-    :func:`solve_position` started at it; a root whose solve raises is
-    dropped, so every candidate has passed its condition check. The
+    scaled size), beyond ``MAX_COORDINATE_M`` or on a mirror sheet (a
+    residual above ``|d_i|`` plus 1e-4 radius) are dropped, and each of the
+    rest is refined by :func:`solve_position` started at it; a root whose
+    solve raises is dropped, so every candidate has passed its condition
+    check. The
     results are sorted by distance from the constellation centre, nearest
     first, and one within ``CLUSTER_RADIUS_M * max(1, |x| / 1 km)`` of an
     earlier one is dropped. The list is empty when the sheets do not meet.
@@ -371,6 +360,7 @@ def solve_all(constellation: Constellation, delays: DelayTriple) -> list[SolveRe
     size = np.maximum(1.0, np.abs(roots).max(axis=1))
     keep = np.isfinite(roots).all(axis=1) & (np.abs(roots.imag).max(axis=1) <= 1e-3 * size)
     points = centre + scale * roots[keep].real
+    points = points[np.abs(points).max(axis=1) <= MAX_COORDINATE_M]
     sheet = np.abs(delays_at(constellation, points) - s) <= np.abs(reduced) + 1e-4 * scale
 
     found = []

@@ -11,7 +11,9 @@ module.
 """
 
 import dataclasses
+import functools
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -151,11 +153,31 @@ def estimate_balance_family():
             yield outcome(estimate_balance, scan, DIP, fit_bandwidth)
 
 
+def dip_scan_writers_family():
+    """``DipScan.to_csv`` and the JSON of ``DipScan.to_json_dict`` over
+    the scans of :func:`dip_scan_family` that build."""
+    for args, kwargs in _dip_scan_args():
+        scan = simulate_dip_scan(*args, **kwargs)
+        yield scan.to_csv().encode()
+        yield json.dumps(scan.to_json_dict(), indent=2, sort_keys=True).encode()
+
+
+@functools.cache
+def _figure(name):
+    return figure_dataset(name)
+
+
 def _figure_family(name):
     def family():
-        yield figure_dataset(name).to_csv().encode()
+        yield _figure(name).to_csv().encode()
 
     return family
+
+
+def figures_json_family():
+    """The JSON bytes that ``qps reproduce NAME --format json`` writes."""
+    for name in FIGURE_NAMES:
+        yield (json.dumps(_figure(name).to_json_dict(), indent=2, sort_keys=True) + "\n").encode()
 
 
 FAMILIES = {
@@ -166,7 +188,9 @@ FAMILIES = {
     "stacks": stacks_family,
     "dip_scan": dip_scan_family,
     "estimate_balance": estimate_balance_family,
+    "dip_scan_writers": dip_scan_writers_family,
     **{name: _figure_family(name) for name in FIGURE_NAMES},
+    "figures_json": figures_json_family,
 }
 
 

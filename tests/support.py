@@ -1,9 +1,15 @@
-"""Shared test utilities: independent oracles and instance generators."""
+"""Shared test utilities: the adapter to the independent oracle, instance
+generators and test-only copies of replaced code."""
 
+import ast
+import csv
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 
+from perfbench import oracle
 from qps import (
     Baseline,
     BalanceEstimate,
@@ -30,17 +36,26 @@ from qps.solver import (
 )
 
 
-def naive_delay(baseline: Baseline, user: Point3) -> float:
-    """Independent range-difference oracle: direct distance evaluation."""
-    u = (user.x, user.y, user.z)
-    a = (baseline.endpoint_a.x, baseline.endpoint_a.y, baseline.endpoint_a.z)
-    b = (baseline.endpoint_b.x, baseline.endpoint_b.y, baseline.endpoint_b.z)
-    s = (baseline.source.x, baseline.source.y, baseline.source.z)
-    return math.dist(u, a) + math.dist(a, s) - math.dist(u, b) - math.dist(s, b)
+def layout(constellation: Constellation) -> oracle.Layout:
+    """The constellation as ``perfbench/oracle.py`` takes it: its A ends, B
+    ends and sources, one row per baseline."""
+    return oracle.Layout(
+        constellation.endpoints_a,
+        constellation.endpoints_b,
+        [b.source.as_array() for b in constellation.baselines],
+    )
 
 
-def naive_delays(constellation: Constellation, user: Point3) -> np.ndarray:
-    return np.array([naive_delay(b, user) for b in constellation.baselines])
+def imported_modules(path: Path) -> list[str]:
+    """The modules that a Python source file imports, a relative import
+    with its leading dots."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    return names
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -88,16 +103,6 @@ def line_constellation() -> Constellation:
     )
 
 
-def condition(constellation: Constellation, user: np.ndarray) -> float:
-    d_a = user - constellation.endpoints_a
-    d_b = user - constellation.endpoints_b
-    n_a = np.linalg.norm(d_a, axis=1)
-    n_b = np.linalg.norm(d_b, axis=1)
-    jac = d_a / n_a[:, None] - d_b / n_b[:, None]
-    svals = np.linalg.svd(jac, compute_uv=False)
-    return math.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
-
-
 def random_instance(
     rng: np.random.Generator,
     box: float = 10.0,
@@ -108,7 +113,8 @@ def random_instance(
     """A well-posed random constellation/user pair.
 
     Rejection-samples until the user is clear of every endpoint and the
-    delay Jacobian at the user is comfortably nonsingular.
+    delay Jacobian at the user, by the oracle's central differences, is
+    comfortably nonsingular.
     """
     while True:
         ends_a = rng.uniform(-box, box, (3, 3))
@@ -128,7 +134,7 @@ def random_instance(
                 for a, b in zip(ends_a, ends_b)
             )
         )
-        if condition(constellation, user) <= max_condition:
+        if layout(constellation).condition(user) <= max_condition:
             return constellation, Point3.from_array(user)
 
 
@@ -372,6 +378,18 @@ def reference_estimate_balance(
                 raise FitDivergedError("no damping level reduced the fit residual")
         theta, f_cur, res_cur, jac_cur = trial, f_trial, res_trial, jac_trial
     raise FitDivergedError(f"dip fit did not converge in {MAX_FIT_ITERATIONS} iterations")
+
+
+def reference_csv(columns: dict[str, np.ndarray]) -> str:
+    """Test-only copy of the ``csv.writer`` loops that ``csv_table``
+    replaced: ``int(v)`` for a boolean cell, ``repr(float(v))`` otherwise."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(columns))
+    cols = [np.asarray(c) for c in columns.values()]
+    for i in range(len(cols[0])):
+        writer.writerow([int(c[i]) if c.dtype == bool else repr(float(c[i])) for c in cols])
+    return buf.getvalue()
 
 
 def outcome(call, *args, **kwargs):

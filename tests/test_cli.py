@@ -1,4 +1,3 @@
-import ast
 import json
 import math
 import os
@@ -20,8 +19,9 @@ from qps import (
     point_error,
 )
 from qps.cli import main
+from qps.scenarios import MAX_SCAN_POINTS
 
-from .support import line_constellation
+from .support import imported_modules, line_constellation
 
 U = 100.0 / math.sqrt(3.0)
 
@@ -90,6 +90,22 @@ class TestGdopCommand:
         )
         assert code == 1
         assert json.loads(err)["error"] == "InvalidInputError"
+
+    @pytest.mark.parametrize("bad", ["200", [1, None, 3], [1e308, 0, 0]])
+    def test_malformed_or_far_endpoint_in_file(self, capsys, tmp_path, ground, bad):
+        # A string once loaded as the endpoint (2, 0, 0), None leaked a
+        # TypeError, and 1e308 overflowed the model's squares.
+        data = ground.to_json_dict()
+        data["baselines"][0]["a"] = bad
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        for argv in (
+            ["gdop", "--constellation", str(path), "--sigma-s", "1e-6", "--user", "1,2,3"],
+            ["solve", "--constellation", str(path), "--s=0,0.1,0.1"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"] == "InvalidInputError"
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "estimate.json"
@@ -345,6 +361,15 @@ class TestDipScanCommand:
         assert proc.returncode == 1 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "NoDipFoundError"
 
+    @pytest.mark.parametrize("count", [MAX_SCAN_POINTS + 1, "1e12"])
+    def test_grid_over_point_budget(self, capsys, count):
+        # 1e12 points once died allocating the grid.
+        code, out, err = run(capsys, ["dip-scan", f"--grid=-1e-3,1e-3,{count}"])
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "InvalidInputError"
+        assert "exceeds the limit" in error["message"]
+
     @pytest.mark.parametrize("t_int", ["1e16", "1e300"])
     def test_counts_beyond_poisson_limit_error(self, capsys, t_int):
         code, out, err = run(
@@ -552,15 +577,10 @@ class TestImport:
         assert proc.stdout.strip() == "[]"
 
     def test_package_imports_only_stdlib_and_numpy(self):
-        allowed = set(sys.stdlib_module_names) | {"numpy", "qps"}
+        # A relative import (an empty first name) stays inside the package.
+        allowed = set(sys.stdlib_module_names) | {"numpy", "qps", ""}
         outside = []
         for path in sorted(Path(qps.__file__).resolve().parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    names = [node.module]
-                else:
-                    continue
-                outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+            names = imported_modules(path)
+            outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
         assert outside == []

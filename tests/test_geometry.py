@@ -17,11 +17,10 @@ from qps import (
     load_constellation,
     solve_position,
 )
-from qps.geometry import _evaluate, condition_number, delays_at, jacobian_at
+from qps.geometry import MAX_COORDINATE_M, _evaluate, condition_number, delays_at, jacobian_at
 
 from .support import (
-    naive_delay,
-    naive_delays,
+    layout,
     outcome,
     random_instance,
     random_rotation,
@@ -55,8 +54,23 @@ class TestPoint3:
         assert Point3.from_array(p.as_array()) == p
 
     def test_from_array_wrong_length(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="expected 3 components, got 2"):
             Point3.from_array([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "bad", ["123", b"123", [1.0, None, 3.0], [[1.0, 2.0, 3.0]], np.ones((1, 3)), 5.0]
+    )
+    def test_from_array_needs_three_numbers(self, bad):
+        # A string is not three numbers, and a wrong element raises no
+        # TypeError.
+        with pytest.raises(InvalidInputError, match="components must be numbers"):
+            Point3.from_array(bad)
+
+    def test_coordinate_bound(self):
+        assert Point3(MAX_COORDINATE_M, -MAX_COORDINATE_M, 0.0).x == MAX_COORDINATE_M
+        for bad in (1.5 * MAX_COORDINATE_M, 10**400, None):
+            with pytest.raises(InvalidInputError, match="Point3.y must be finite"):
+                Point3(0.0, bad, 0.0)
 
 
 class TestBaseline:
@@ -87,15 +101,16 @@ class TestBalancedDelay:
 
     def test_against_distance_oracle(self, ground, ground_user):
         np.testing.assert_allclose(
-            forward_delays(ground, ground_user), naive_delays(ground, ground_user), atol=1e-12
+            forward_delays(ground, ground_user),
+            layout(ground).delays(ground_user.as_array()),
+            atol=1e-12,
         )
 
     def test_general_source_placement(self):
         skewed = Baseline(Point3(1, 0, 0), Point3(-1, 0, 0), Point3(0.3, 0.2, -0.1))
         user = Point3(4.0, -2.0, 1.0)
-        assert math.isclose(
-            first_delay(skewed, user), naive_delay(skewed, user), abs_tol=1e-12
-        )
+        oracle = layout(Constellation((skewed, Y_BASELINE, Z_BASELINE))).delays(user.as_array())
+        assert math.isclose(first_delay(skewed, user), oracle[0], abs_tol=1e-12)
 
     def test_sign_convention_positive_when_a_leg_longer(self):
         # User close to endpoint_b: the endpoint_a leg is the longer one.
@@ -108,7 +123,7 @@ class TestForwardDelays:
         assert np.all(forward_delays(ground, Point3(0.0, 0.0, 0.0)) == 0.0)
 
     def test_against_distance_oracle_leo(self, leo, leo_user):
-        expected = naive_delays(leo, leo_user)
+        expected = layout(leo).delays(leo_user.as_array())
         np.testing.assert_allclose(forward_delays(leo, leo_user), expected, atol=5e-8)
 
 
@@ -193,16 +208,15 @@ class TestFusedEvaluation:
         eps = np.finfo(float).eps
         for constellation, xyz in stacks(ground, leo):
             delays, jac = _evaluate(constellation, xyz)
+            oracle = layout(constellation).delays(xyz.reshape(-1, 3)).reshape(xyz.shape)
             for idx in np.ndindex(4, 5):
-                user = Point3.from_array(xyz[idx])
                 legs = np.concatenate(
                     (
                         np.linalg.norm(xyz[idx] - constellation.endpoints_a, axis=1),
                         np.linalg.norm(xyz[idx] - constellation.endpoints_b, axis=1),
                     )
                 )
-                oracle = naive_delays(constellation, user)
-                assert np.all(np.abs(delays[idx] - oracle) <= 8.0 * eps * legs.max())
+                assert np.all(np.abs(delays[idx] - oracle[idx]) <= 8.0 * eps * legs.max())
                 h = 1e-5 * legs.min()
                 columns = [
                     (delays_at(constellation, xyz[idx] + h * e) - delays_at(constellation, xyz[idx] - h * e))
@@ -224,12 +238,21 @@ class TestFusedEvaluation:
         with pytest.raises(SingularJacobianError, match="coincides with a baseline endpoint"):
             solve_position(ground, triple, Point3.from_array(endpoint))
 
-    @pytest.mark.parametrize("bad", [[1.0, math.nan, 0.0], [math.inf, -math.inf, 0.0]])
+    @pytest.mark.parametrize(
+        "bad", [[1.0, math.nan, 0.0], [math.inf, -math.inf, 0.0], [1e154, 0.0, 0.0], [1e155, 0.0, 0.0]]
+    )
     def test_non_finite_position_rejected(self, ground, bad):
+        # Beyond about 1.3e154 m the squared legs overflow: the delays came
+        # out as [-4, 0, 0] at 1e154 m and [0, 0, 0] at 1e155 m.
         for xyz in (np.array(bad), np.array([[1.0, 2.0, 3.0], bad])):
             for evaluate in (_evaluate, delays_at, jacobian_at):
                 with pytest.raises(InvalidInputError, match="must be finite"):
                     evaluate(ground, xyz)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_stack(self, ground):
+        delays, jac = _evaluate(ground, np.empty((0, 3)))
+        assert delays.shape == (0, 3) and jac.shape == (0, 3, 3)
 
 
 class TestAgainstTwoArrayLegs:

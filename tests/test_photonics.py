@@ -22,7 +22,7 @@ from qps import (
 
 from qps.photonics import MAX_EXPECTED_COUNT
 
-from .support import reference_estimate_balance
+from .support import reference_csv, reference_estimate_balance
 
 CONFIG = HomConfig(alpha1=0.8, alpha2=0.8, eta_v_sq=15625.0, delta_omega=1e12)
 #: Dip width in offset units, meters.
@@ -210,6 +210,13 @@ class TestDipScanType:
         data = scan.to_json_dict()
         assert set(data) == {"offsets_m", "rates_hz", "integration_time_s", "rng_seed"}
         assert data["rng_seed"] == 5
+
+    def test_writers_match_the_replaced_loops(self):
+        scan = simulate_dip_scan(CONFIG, 0.0, dip_grid(0.0), 0.01, seed=5)
+        assert scan.to_csv() == reference_csv({"offset_m": scan.offsets_m, "rate_hz": scan.rates_hz})
+        data = scan.to_json_dict()
+        assert repr(data["offsets_m"]) == repr([float(v) for v in scan.offsets_m])
+        assert repr(data["rates_hz"]) == repr([float(v) for v in scan.rates_hz])
 
 
 class TestEstimateBalance:

@@ -21,7 +21,10 @@ from qps import (
     scan_line,
     scan_plane,
 )
+from qps.geometry import json_float
 from qps.scenarios import MAX_SCAN_POINTS
+
+from .support import reference_csv
 
 Z_GROUND = 100.0 / math.sqrt(3.0)
 
@@ -263,6 +266,34 @@ class TestFieldGrid:
         assert data["degenerate"][0] is True
         assert data["axes"][0]["count"] == 3
         np.testing.assert_allclose(data["coords"]["x_m"], [0.0, 15.0, 30.0])
+
+
+    def test_writers_match_the_replaced_loops(self):
+        # Every kind of float, and coordinates that are not float64.
+        values = np.array([0.0, -0.0, 5e-324, 1e-7, 1.0, 123456789.0, 1.7e308, np.nan, np.inf])
+        n = len(values)
+        grid = FieldGrid(
+            axes=(AxisSpec("x", 0.0, 1.0, n),),
+            fixed={"y": 1.0},
+            coords={
+                "x_m": values[::-1].copy(),
+                "i_m": np.arange(n),
+                "f_m": np.linspace(0.1, 0.9, n, dtype=np.float32),
+            },
+            r_xyz_m=values,
+            degenerate=np.arange(n) % 2 == 0,
+            condition_number=-values,
+        )
+        columns = ("r_xyz_m", "degenerate", "condition_number")
+        assert grid.to_csv() == reference_csv({**grid.coords, **{c: getattr(grid, c) for c in columns}})
+        expected = {
+            **grid.to_json_dict(),
+            "coords": {k: [float(v) for v in arr] for k, arr in grid.coords.items()},
+            "r_xyz_m": [json_float(v) for v in grid.r_xyz_m],
+            "degenerate": [bool(v) for v in grid.degenerate],
+            "condition_number": [json_float(v) for v in grid.condition_number],
+        }
+        assert json.dumps(grid.to_json_dict()) == json.dumps(expected)
 
 
 class TestFigureDatasets:

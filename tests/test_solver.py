@@ -17,20 +17,28 @@ from qps import (
     QpsError,
     Region,
     SingularJacobianError,
+    TerrestrialConfig,
+    build_terrestrial,
     forward_delays,
     forward_jacobian,
     multi_start_solve,
     solve_all,
     solve_position,
 )
-from qps.geometry import CONDITION_LIMIT, _evaluate, condition_number, delays_at, jacobian_at
+from qps.geometry import (
+    CONDITION_LIMIT,
+    MAX_COORDINATE_M,
+    _evaluate,
+    condition_number,
+    delays_at,
+    jacobian_at,
+)
 from qps.solver import MAX_ITERATIONS, _backtrack
 
 from .support import (
     closed_form_ground,
-    condition,
+    layout,
     line_constellation,
-    naive_delays,
     random_instance,
     reference_solve_position,
 )
@@ -46,10 +54,17 @@ class TestDelayTriple:
         assert DelayTriple.from_array(t.as_array()) == t
 
     def test_rejects_nan(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="DelayTriple.s1 must be finite"):
             DelayTriple(math.nan, 0.0, 0.0)
         with pytest.raises(InvalidInputError):
             DelayTriple.from_array(["x", 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", ["123", b"123", [0.1, None, 0.3], [[0.1, 0.2, 0.3]], 0.5])
+    def test_from_array_needs_three_numbers(self, bad):
+        with pytest.raises(InvalidInputError, match="delays must be numbers"):
+            DelayTriple.from_array(bad)
+        with pytest.raises(InvalidInputError, match="expected 3 delays, got 2"):
+            DelayTriple.from_array([0.1, 0.2])
 
 
 class TestRegion:
@@ -117,7 +132,7 @@ class TestSolvePosition:
         # arithmetic, independent of the solver's residual bookkeeping.
         delays = triple_from(ground, ground_user)
         result = solve_position(ground, delays, Point3(40, 60, 45))
-        direct = naive_delays(ground, result.position) - delays.as_array()
+        direct = layout(ground).delays(result.position.as_array()) - delays.as_array()
         tol = 1e-12 * (1.0 + result.position.norm())
         assert np.all(np.abs(direct) <= tol + 1e-13)
 
@@ -373,7 +388,7 @@ class TestMultiStart:
         positions = np.array([r.position.as_array() for r in results])
         assert min(np.linalg.norm(positions - user, axis=1)) <= 1e-6 * np.linalg.norm(user)
         for position in positions:
-            direct = naive_delays(leo, Point3.from_array(position)) - delays.as_array()
+            direct = layout(leo).delays(position) - delays.as_array()
             assert np.all(np.abs(direct) <= 1e-12 * (1.0 + np.linalg.norm(position)))
 
     def test_solution_line_is_an_error(self):
@@ -409,15 +424,15 @@ class TestSearch:
         cases = []
         for signs in itertools.product((-1.0, 1.0), repeat=3):
             user = draw_until(
-                lambda u: condition(ground, u) <= 1e3,
+                lambda u: layout(ground).condition(u) <= 1e3,
                 lambda: np.array(signs) * rng.uniform(0.0, 80.0, 3),
             )
             cases.append((ground, user))
-        u = draw_until(lambda u: max(condition(leo, u), condition(leo, -u)) <= 1e3, on_earth)
+        u = draw_until(lambda u: max(layout(leo).condition([u, -u])) <= 1e3, on_earth)
         cases += [(leo, u), (leo, -u)]
         out = []
         for constellation, user in cases:
-            delays = DelayTriple.from_array(naive_delays(constellation, Point3.from_array(user)))
+            delays = DelayTriple.from_array(layout(constellation).delays(user))
             args = (constellation, delays)
             out.append((user, args, solve_all(*args)))
         return out
@@ -432,7 +447,7 @@ class TestSearch:
         # Every candidate, not only the user, against the direct distances.
         for _, (constellation, delays), results in searches:
             for r in results:
-                direct = naive_delays(constellation, r.position) - delays.as_array()
+                direct = layout(constellation).delays(r.position.as_array()) - delays.as_array()
                 assert np.all(np.abs(direct) <= 1e-12 * (1.0 + r.position.norm())), (r, direct)
 
     def test_ground_searches_find_one_candidate(self, searches, ground):
@@ -458,7 +473,7 @@ class TestGroundClosedForm:
         rng = np.random.default_rng(11)
         for _ in range(500):
             user = rng.uniform(1.0, 80.0, 3) * rng.choice((-1.0, 1.0), 3)
-            s = naive_delays(ground, Point3.from_array(user))
+            s = layout(ground).delays(user)
             rel = np.linalg.norm(closed_form_ground(s, 2.0) - user) / np.linalg.norm(user)
             assert rel <= 1e-9, (user, rel)
 
@@ -468,11 +483,27 @@ class TestGroundClosedForm:
         rng = np.random.default_rng(12)
         for _ in range(48):
             user = rng.uniform(1.0, 80.0, 3) * rng.choice((-1.0, 1.0), 3)
-            s = naive_delays(ground, Point3.from_array(user))
+            s = layout(ground).delays(user)
             results = solve_all(ground, DelayTriple.from_array(s))
             assert len(results) == 1, (user, [r.position for r in results])
             err = np.linalg.norm(results[0].position.as_array() - closed_form_ground(s, 2.0))
             assert err <= 1e-8 * np.linalg.norm(user), (user, err)
+
+
+class TestCoordinateBound:
+    """The ground layout at the coordinate bound: an iterate or a root
+    beyond it is outside the model's domain, which a solve reports as
+    divergence and a search drops."""
+
+    def test_far_layout(self):
+        far = build_terrestrial(TerrestrialConfig(MAX_COORDINATE_M))
+        user = Point3(3e149, -2e149, 1e149)
+        delays = triple_from(far, user)
+        (found,) = solve_all(far, delays)
+        assert np.linalg.norm(found.position.as_array() - user.as_array()) <= 1e-9 * user.norm()
+        with pytest.raises(NotConvergedError, match="domain of the delay model"):
+            solve_position(far, delays, Point3(1e150, 1e150, 1e150))
+        assert solve_all(far, DelayTriple(0.0, 0.1, 0.1)) == []
 
 
 class TestClusterRadius:
